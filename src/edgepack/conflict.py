@@ -82,18 +82,6 @@ def build_conflict_graph(g, pair):
     return ConflictGraph(vertices, tuple(adj), total // 2)
 
 
-def triangle_count(h):
-    """Number of unordered vertex triples of H that are pairwise adjacent."""
-    nbr = [set(a) for a in h.adj]
-    count = 0
-    for i in range(h.n):
-        for j in h.adj[i]:
-            if j <= i:
-                continue
-            count += sum(1 for k in nbr[i] & nbr[j] if k > j)
-    return count
-
-
 def _components(h):
     seen = [False] * h.n
     out = []

@@ -44,11 +44,7 @@ class Component:
         """The degree-2 vertex of a P3 component."""
         if self.kind != P3:
             raise ValueError("middle() is only defined for P3 components")
-        (a, b), (c, d) = (g.endpoints(e) for e in self.edges)
-        for v in (a, b):
-            if v in (c, d):
-                return v
-        raise AssertionError("P3 edges do not share a vertex")
+        return _middle(g, self.edges)
 
     def center(self, g):
         """The degree-3 vertex of a K13 component."""
@@ -110,29 +106,33 @@ def _classify(g, vertices, edges):
         adj[v].append(u)
     if ne == 3:
         return (K13, None) if max(len(a) for a in adj.values()) == 3 else (P4, None)
-    if ne == 4 and _tree_diameter(adj, vertices[0]) == 3:
+    if ne == 4 and _tree_diameter(adj, next(iter(adj))) == 3:
         return VIOLATION, REASON_C1
     return VIOLATION, REASON_TOO_MANY
 
 
-def build_leftover(g, union_edges):
-    """Split E(G) minus the given edge set into classified components."""
-    union = set(union_edges)
-    left = tuple(e for e in range(g.m) if e not in union)
-    left_at = [[] for _ in range(g.n)]
+def _middle(g, edges):
+    """The vertex shared by the two edges of a P3."""
+    (a, b), (c, d) = g.endpoints(edges[0]), g.endpoints(edges[1])
+    return a if a in (c, d) else b
+
+
+def _walk(g, left):
+    """Yield (edges, vertex set) for each connected component of the edge
+    set left, in order of each component's smallest edge when left is
+    ascending.  Edges come in discovery order."""
+    left_at = {}
     for e in left:
-        u, v = g.endpoints(e)
-        left_at[u].append(e)
-        left_at[v].append(e)
-    comps = []
+        for v in g.endpoints(e):
+            left_at.setdefault(v, []).append(e)
     seen = set()
     for e0 in left:
         if e0 in seen:
             continue
+        seen.add(e0)
         edges = []
         verts = set()
         stack = [e0]
-        seen.add(e0)
         while stack:
             e = stack.pop()
             edges.append(e)
@@ -142,9 +142,17 @@ def build_leftover(g, union_edges):
                     if f not in seen:
                         seen.add(f)
                         stack.append(f)
+        yield edges, verts
+
+
+def build_leftover(g, union_edges):
+    """Split E(G) minus the given edge set into classified components."""
+    union = set(union_edges)
+    left = tuple(e for e in range(g.m) if e not in union)
+    comps = []
+    for edges, verts in _walk(g, left):
         vertices = tuple(sorted(verts))
         edges = tuple(sorted(edges))
         kind, reason = _classify(g, vertices, edges)
         comps.append(Component(vertices, edges, kind, reason))
-    comps.sort(key=lambda c: c.edges[0])
     return LeftoverGraph(left, tuple(comps))

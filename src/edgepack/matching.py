@@ -8,12 +8,12 @@ depends only on the union M1 u M2, not on which matching an edge sits in.
 
 Moves remove up to two matched edges, optionally exchange the M1/M2 labels on
 one component of the post-removal union graph, and add up to three edges into
-chosen matchings.  neighborhood() enumerates every admissible move literally;
-local_search() walks the same neighborhood through a pruned scanner that
-skips only moves that provably cannot improve the objective (pure label
-changes, removals that shrink the union without compensation, and swap or
-addition combinations ruled out because an earlier enumeration stage came up
-empty).  The two agree on stability; tests cross-check them.
+chosen matchings.  local_search() walks these moves through a pruned
+scanner that skips only moves that provably cannot improve the objective
+(pure label changes, removals that shrink the union without compensation,
+and swap or addition combinations ruled out because an earlier enumeration
+stage came up empty).  The test suite cross-checks it against a literal
+enumeration of every admissible move.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .conflict import build_conflict_graph, triangle_count
-from .leftover import P3, P4, build_leftover
+from .leftover import P3, P4, _classify, _middle, _walk
 
 
 class MatchingPair:
@@ -81,25 +80,6 @@ class MatchingPair:
 
 
 @dataclass(frozen=True)
-class ObjectiveTuple:
-    """Search objective: max union, then lexicographic minimization."""
-
-    union_size: int
-    h_edges: int
-    p4_count: int
-    h_triangles: int
-    paired_p3_count: int
-
-    def key(self):
-        """Sort key; smaller is better."""
-        return (-self.union_size, self.h_edges, self.p4_count,
-                self.h_triangles, self.paired_p3_count)
-
-    def improves_on(self, other):
-        return self.key() < other.key()
-
-
-@dataclass(frozen=True)
 class Move:
     """One local-search move.
 
@@ -140,29 +120,12 @@ def greedy_init(g, seed):
     return MatchingPair(g, m1, m2)
 
 
-def evaluate(pair):
-    """Full objective tuple for a pair, computed through the conflict graph."""
-    g = pair.graph
-    h = build_conflict_graph(g, pair)
-    lg = build_leftover(g, pair.union())
-    p4 = sum(1 for c in lg.components if c.kind == P4)
-    middles = {}
-    for i, c in enumerate(lg.components):
-        if c.kind == P3:
-            middles[c.middle(g)] = i
-    paired = 0
-    for e in pair.union():
-        x, y = g.endpoints(e)
-        if x in middles and y in middles and middles[x] != middles[y]:
-            paired += 1
-    return ObjectiveTuple(pair.union_size, h.edge_count, p4, triangle_count(h), paired)
-
-
 def union_objective_key(g, u_mask):
     """Objective key computed directly from a union bitmask.
 
-    Equals evaluate(pair).key() whenever u_mask is the union of a valid pair;
-    this is the fast path used inside the search.
+    The key is (-|M1 u M2|, edges of H, P4 components of the leftover graph,
+    triangles of H, union edges joining the middles of two P3 components);
+    smaller is better.
     """
     masks2 = g.distance_masks(2)
     m = g.m
@@ -192,39 +155,14 @@ def union_objective_key(g, u_mask):
             nb ^= low
             tri += (masks2[f] & above & -(1 << (f + 1))).bit_count()
 
-    left_at = {}
-    for e in left:
-        for v in g.endpoints(e):
-            left_at.setdefault(v, []).append(e)
     p4 = 0
     middles = {}
-    seen = set()
-    cid = 0
-    for e0 in left:
-        if e0 in seen:
-            continue
-        cid += 1
-        seen.add(e0)
-        stack = [e0]
-        comp_edges = [e0]
-        verts = set()
-        while stack:
-            e = stack.pop()
-            for v in g.endpoints(e):
-                verts.add(v)
-                for f in left_at[v]:
-                    if f not in seen:
-                        seen.add(f)
-                        stack.append(f)
-                        comp_edges.append(f)
-        ne = len(comp_edges)
-        if ne == 2:
-            (a, b), (c, d) = g.endpoints(comp_edges[0]), g.endpoints(comp_edges[1])
-            middles[a if a in (c, d) else b] = cid
-        elif ne == 3 and len(verts) == 4:
-            cset = set(comp_edges)
-            if all(sum(1 for f in left_at[v] if f in cset) <= 2 for v in verts):
-                p4 += 1
+    for cid, (edges, verts) in enumerate(_walk(g, left)):
+        kind, _ = _classify(g, verts, edges)
+        if kind == P3:
+            middles[_middle(g, edges)] = cid
+        elif kind == P4:
+            p4 += 1
 
     paired = 0
     if middles:
@@ -239,27 +177,25 @@ def union_objective_key(g, u_mask):
 
 
 # ---------------------------------------------------------------------------
-# Move application and the literal neighborhood
+# Move application
 # ---------------------------------------------------------------------------
 
-def _union_component_edges(g, union, rep):
-    """Edges of the G[union] component containing the edge rep."""
-    at = {}
-    for e in union:
-        for v in g.endpoints(e):
-            at.setdefault(v, []).append(e)
-    seen = {rep}
-    stack = [rep]
-    out = [rep]
-    while stack:
-        e = stack.pop()
-        for v in g.endpoints(e):
-            for f in at[v]:
-                if f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-                    out.append(f)
-    return out
+def _label(g, m1, m2):
+    """Edge -> 1 or 2 for the matching holding it, 0 for leftover edges."""
+    label = [0] * g.m
+    for t, target in ((1, m1), (2, m2)):
+        for e in target:
+            label[e] = t
+    return label
+
+
+def _cover(g, edges):
+    """Vertex -> the edge among the given matching edges that covers it, or -1."""
+    cover = [-1] * g.n
+    for e in edges:
+        u, v = g.endpoints(e)
+        cover[u] = cover[v] = e
+    return cover
 
 
 def apply_move(pair, move):
@@ -272,28 +208,18 @@ def apply_move(pair, move):
             raise ValueError(f"removal {x} is not in m{t}")
         target.discard(x)
     if move.swap is not None:
-        union = m1 | m2
-        if move.swap not in union:
+        comp = next((c for c in _components_from_labels(g, _label(g, m1, m2))
+                     if move.swap in c.edges), None)
+        if comp is None:
             raise ValueError("swap component representative not in the union")
-        comp = _union_component_edges(g, union, move.swap)
-        flips = [(e, e in m1) for e in comp]
-        for e, was_m1 in flips:
-            if was_m1:
-                m1.discard(e)
-                m2.add(e)
-            else:
-                m2.discard(e)
-                m1.add(e)
-    cover = {1: {}, 2: {}}
-    for t, target in ((1, m1), (2, m2)):
-        for e in target:
-            u, v = g.endpoints(e)
-            cover[t][u] = cover[t][v] = e
+        flip = set(comp.edges)
+        m1, m2 = (m1 - flip) | (m2 & flip), (m2 - flip) | (m1 & flip)
+    cover = {1: _cover(g, m1), 2: _cover(g, m2)}
     for e, t in move.additions:
         if e in m1 or e in m2:
             raise ValueError(f"addition {e} is already matched")
         u, v = g.endpoints(e)
-        if u in cover[t] or v in cover[t]:
+        if cover[t][u] >= 0 or cover[t][v] >= 0:
             raise ValueError(f"addition {e} does not fit m{t}")
         (m1 if t == 1 else m2).add(e)
         cover[t][u] = cover[t][v] = e
@@ -317,14 +243,8 @@ def _compatible(g, adds):
 
 def _components_from_labels(g, label):
     """Path/cycle components of the union graph described by a label array."""
-    cover = {1: [-1] * g.n, 2: [-1] * g.n}
-    edges = []
-    for e in range(g.m):
-        t = label[e]
-        if t:
-            edges.append(e)
-            u, v = g.endpoints(e)
-            cover[t][u] = cover[t][v] = e
+    edges = [e for e in range(g.m) if label[e]]
+    cover = {t: _cover(g, [e for e in edges if label[e] == t]) for t in (1, 2)}
     comps = []
     visited = set()
 
@@ -362,58 +282,6 @@ def _components_from_labels(g, label):
     return comps
 
 
-def neighborhood(pair, r=2, s=1, a=3):
-    """Yield every admissible Move with <= r removals, <= s swaps, <= a additions.
-
-    Literal enumeration in a fixed deterministic order; intended for small
-    instances and for validating the pruned scanner used by local_search.
-    """
-    if not (0 <= r <= 2 and 0 <= s <= 1 and 0 <= a <= 3):
-        raise ValueError("neighborhood caps are r <= 2, s <= 1, a <= 3")
-    g = pair.graph
-    base_label = [0] * g.m
-    for e in pair.m1:
-        base_label[e] = 1
-    for e in pair.m2:
-        base_label[e] = 2
-    u_edges = sorted(pair.union())
-    for k in range(r + 1):
-        for removed in combinations(u_edges, k):
-            lab = list(base_label)
-            for x in removed:
-                lab[x] = 0
-            comps = _components_from_labels(g, lab) if s >= 1 else []
-            for sw in [None] + comps:
-                lab2 = list(lab)
-                if sw is not None:
-                    for e in sw.edges:
-                        lab2[e] = 3 - lab2[e]
-                cover = {1: [-1] * g.n, 2: [-1] * g.n}
-                for e in range(g.m):
-                    if lab2[e]:
-                        u, v = g.endpoints(e)
-                        cover[lab2[e]][u] = cover[lab2[e]][v] = e
-                cands = []
-                for e in range(g.m):
-                    if lab2[e]:
-                        continue
-                    u, v = g.endpoints(e)
-                    for t in (1, 2):
-                        if cover[t][u] < 0 and cover[t][v] < 0:
-                            cands.append((e, t))
-                removals = tuple((x, base_label[x]) for x in removed)
-                rep = None if sw is None else sw.rep
-                for size in range(a + 1):
-                    if size == 0:
-                        if k == 0 and sw is None:
-                            continue
-                        yield Move(removals, rep, ())
-                        continue
-                    for combo in combinations(cands, size):
-                        if _compatible(g, combo):
-                            yield Move(removals, rep, combo)
-
-
 # ---------------------------------------------------------------------------
 # Pruned improving-move scanner
 # ---------------------------------------------------------------------------
@@ -439,7 +307,7 @@ class _Counter:
 class _UComp:
     rep: int
     edges: tuple       # in path/cycle walk order
-    verts: tuple       # walk order, len(edges) + 1 for paths
+    verts: tuple       # walk order, len(edges) + 1; a cycle repeats its first
     is_cycle: bool
     ends: tuple        # the two path endpoints, () for cycles
 
@@ -455,19 +323,9 @@ class _State:
         self.g = g
         self.pair = pair
         self.counter = counter
-        self.label = [0] * g.m
-        for e in pair.m1:
-            self.label[e] = 1
-        for e in pair.m2:
-            self.label[e] = 2
-        self.cover1 = [-1] * g.n
-        self.cover2 = [-1] * g.n
-        for e in pair.m1:
-            u, v = g.endpoints(e)
-            self.cover1[u] = self.cover1[v] = e
-        for e in pair.m2:
-            u, v = g.endpoints(e)
-            self.cover2[u] = self.cover2[v] = e
+        self.label = _label(g, pair.m1, pair.m2)
+        self.cover1 = _cover(g, pair.m1)
+        self.cover2 = _cover(g, pair.m2)
         self.u_edges = sorted(pair.union())
         self.u_mask = 0
         for e in self.u_edges:
@@ -500,40 +358,27 @@ def _pieces_after_removal(state, removed_ids):
         if comp.is_cycle:
             # walk runs of kept edges cyclically, starting after a removed one
             start = min(gone)
-            run = []
-            for step in range(1, k + 1):
-                idx = (start + step) % k
-                if idx in gone:
-                    if run:
-                        pieces.append(_piece_from_run(comp, run, cycle=True))
-                        run = []
-                else:
-                    run.append(idx)
-            if run:
-                pieces.append(_piece_from_run(comp, run, cycle=True))
+            order = [(start + step) % k for step in range(1, k + 1)]
         else:
-            run = []
-            for idx in range(k):
-                if idx in gone:
-                    if run:
-                        pieces.append(_piece_from_run(comp, run, cycle=False))
-                        run = []
-                else:
-                    run.append(idx)
-            if run:
-                pieces.append(_piece_from_run(comp, run, cycle=False))
+            order = range(k)
+        run = []
+        for idx in order:
+            if idx in gone:
+                if run:
+                    pieces.append(_piece_from_run(comp, run))
+                    run = []
+            else:
+                run.append(idx)
+        if run:
+            pieces.append(_piece_from_run(comp, run))
     return pieces
 
 
-def _piece_from_run(comp, run, cycle):
-    edges = [comp.edges[i] for i in run]
-    nv = len(comp.verts)
-    first, last = run[0], run[-1]
-    if cycle:
-        ends = (comp.verts[first % nv], comp.verts[(last + 1) % nv])
-    else:
-        ends = (comp.verts[first], comp.verts[last + 1])
-    return min(edges), ends
+def _piece_from_run(comp, run):
+    # verts[i], verts[i + 1] are the ends of edges[i], also across a cycle's
+    # closing edge, so a run that wraps needs no index arithmetic
+    ends = (comp.verts[run[0]], comp.verts[run[-1] + 1])
+    return min(comp.edges[i] for i in run), ends
 
 
 def _swap_candidates(state, removed_ids, base_sites):

@@ -2,16 +2,22 @@
 
 Everything here recomputes from first principles: distances via an explicit
 line graph, colorability via plain |S|^m enumeration, maximum unions via
-enumeration of all disjoint matching pairs.  None of it calls back into the
-solver paths it is used to check.
+enumeration of all disjoint matching pairs, the search objective and the
+literal move neighborhood via plain BFS over edge sets.  None of it calls
+back into the solver paths it is used to check; the only library name used
+is the Move record that apply_move consumes.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from edgepack.matching import Move
 
 
 def line_graph_distances(n, edges):
@@ -190,6 +196,137 @@ def brute_max_induced_matching(n, edges):
 
     rec(0, [])
     return best
+
+
+# ---------------------------------------------------------------------------
+# Literal references for the matching search
+# ---------------------------------------------------------------------------
+
+def triangle_count(adj):
+    """Pairwise-adjacent vertex triples of a graph given by neighbor lists."""
+    nbr = [set(a) for a in adj]
+    return sum(1 for i, j, k in combinations(range(len(adj)), 3)
+               if j in nbr[i] and k in nbr[i] and k in nbr[j])
+
+
+def edge_components(g, edge_ids):
+    """Edge sets of the connected components of the subgraph of g spanned by
+    edge_ids, by BFS over shared endpoints, ordered by smallest edge."""
+    ids = sorted(edge_ids)
+    comps = []
+    seen = set()
+    for e0 in ids:
+        if e0 in seen:
+            continue
+        comp = {e0}
+        frontier = [e0]
+        while frontier:
+            nxt = []
+            for e in frontier:
+                for f in ids:
+                    if f not in comp and set(g.endpoints(e)) & set(g.endpoints(f)):
+                        comp.add(f)
+                        nxt.append(f)
+            frontier = nxt
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+@dataclass(frozen=True)
+class ObjectiveTuple:
+    """Search objective: max union, then lexicographic minimization."""
+
+    union_size: int
+    h_edges: int
+    p4_count: int
+    h_triangles: int
+    paired_p3_count: int
+
+    def key(self):
+        """Sort key; smaller is better."""
+        return (-self.union_size, self.h_edges, self.p4_count,
+                self.h_triangles, self.paired_p3_count)
+
+
+def evaluate(pair):
+    """Full objective tuple of a matching pair.
+
+    H (leftover edges adjacent at edge distance <= 2) comes from
+    line_graph_distances, the leftover components from edge_components.
+    """
+    g = pair.graph
+    edges = [g.endpoints(e) for e in range(g.m)]
+    union = pair.m1 | pair.m2
+    left = [e for e in range(g.m) if e not in union]
+    dist = line_graph_distances(g.n, edges)
+    adj = [[j for j, f in enumerate(left) if f != e and dist.get((e, f), 99) <= 2]
+           for e in left]
+    p4 = 0
+    middles = {}
+    for i, comp in enumerate(edge_components(g, left)):
+        deg = Counter(v for e in comp for v in edges[e])
+        if len(comp) == 2:
+            middles[next(v for v, d in deg.items() if d == 2)] = i
+        elif len(comp) == 3 and len(deg) == 4 and max(deg.values()) == 2:
+            p4 += 1
+    paired = sum(1 for e in union
+                 if edges[e][0] in middles and edges[e][1] in middles
+                 and middles[edges[e][0]] != middles[edges[e][1]])
+    return ObjectiveTuple(len(union), sum(map(len, adj)) // 2, p4,
+                          triangle_count(adj), paired)
+
+
+def _fits(g, adds):
+    """Distinct edges, and the edges given each tag form a matching."""
+    ids = [e for e, _ in adds]
+    ends = [(v, t) for e, t in adds for v in g.endpoints(e)]
+    return len(set(ids)) == len(ids) and len(set(ends)) == len(ends)
+
+
+def neighborhood(pair, r=2, s=1, a=3):
+    """Yield every admissible Move with <= r removals, <= s swaps, <= a additions.
+
+    Literal enumeration in a fixed deterministic order: removal sets, then
+    no swap or a swap of each post-removal union component (named by its
+    smallest edge), then every compatible addition set up to size a.
+    """
+    if not (0 <= r <= 2 and 0 <= s <= 1 and 0 <= a <= 3):
+        raise ValueError("neighborhood caps are r <= 2, s <= 1, a <= 3")
+    g = pair.graph
+    base_label = [0] * g.m
+    for e in pair.m1:
+        base_label[e] = 1
+    for e in pair.m2:
+        base_label[e] = 2
+    u_edges = sorted(pair.m1 | pair.m2)
+    for k in range(r + 1):
+        for removed in combinations(u_edges, k):
+            lab = list(base_label)
+            for x in removed:
+                lab[x] = 0
+            comps = []
+            if s >= 1:
+                comps = edge_components(g, [e for e in range(g.m) if lab[e]])
+            for sw in [None] + comps:
+                lab2 = list(lab)
+                for e in sw or ():
+                    lab2[e] = 3 - lab2[e]
+                covered = {(v, lab2[e]) for e in range(g.m) if lab2[e]
+                           for v in g.endpoints(e)}
+                cands = [(e, t) for e in range(g.m) if not lab2[e] for t in (1, 2)
+                         if all((v, t) not in covered for v in g.endpoints(e))]
+                removals = tuple((x, base_label[x]) for x in removed)
+                rep = None if sw is None else sw[0]
+                for size in range(a + 1):
+                    if size == 0:
+                        if k == 0 and sw is None:
+                            continue
+                        yield Move(removals, rep, ())
+                        continue
+                    for combo in combinations(cands, size):
+                        if _fits(g, combo):
+                            yield Move(removals, rep, combo)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 
 from edgepack import (Graph, MatchingPair, build_conflict_graph,
                       check_lemmas, classify_components, compute_charges,
-                      generate_named, is_switch_stable, ky_bound, local_search,
-                      random_cubic)
+                      generate_named, greedy_init, is_switch_stable, ky_bound,
+                      local_search, random_cubic, union_objective_key)
+from oracles import sample_subcubic_instances
 
 
 def _pair(g, m1, m2):
@@ -106,6 +107,20 @@ def test_paired_p3_counted():
     pair = _pair(g, [(0, 3)], [])
     rep = check_lemmas(g, pair)
     assert rep.paired_p3_count == 1 and rep.paired_p3_at_most_one
+
+
+def test_objective_and_audit_see_the_same_leftover():
+    paired_seen = p4_seen = 0
+    for i, (n, edges) in enumerate(sample_subcubic_instances(80, m_max=30, seed=11)):
+        g = Graph(edges, n=n)
+        for pair in (greedy_init(g, i), MatchingPair(g, greedy_init(g, i).m1)):
+            key = union_objective_key(g, pair.union_mask())
+            p4 = sum(1 for c in classify_components(g, pair) if c.kind == "P4")
+            assert key[4] == check_lemmas(g, pair).paired_p3_count
+            assert key[2] == p4
+            paired_seen += key[4] > 0
+            p4_seen += p4 > 0
+    assert paired_seen and p4_seen
 
 
 def test_p4_to_p3_middle_link_detected():

@@ -9,8 +9,8 @@ import pytest
 
 from edgepack import (ConflictGraph, Graph, MatchingPair, build_conflict_graph,
                       color_exact, edge_distance, exact_max_union,
-                      generate_named, greedy_init, triangle_count)
-from oracles import brute_k_colorable
+                      generate_named, greedy_init)
+from oracles import brute_k_colorable, triangle_count
 
 
 def _complete_conflict(n):
@@ -48,7 +48,7 @@ def test_build_subdivided_k33_optimum_is_k4():
     h = build_conflict_graph(g, pair)
     assert h.n == 4 and h.edge_count == 6
     assert all(h.degree(i) == 3 for i in range(4))
-    assert triangle_count(h) == 4
+    assert triangle_count(h.adj) == 4
 
 
 def test_adjacency_matches_brute_force_distances():
@@ -125,9 +125,9 @@ def test_coloring_classes_are_induced_matchings():
 
 
 def test_triangle_counts():
-    assert triangle_count(_complete_conflict(4)) == 4
-    assert triangle_count(_complete_conflict(5)) == 10
-    assert triangle_count(_cycle_conflict(6)) == 0
+    assert triangle_count(_complete_conflict(4).adj) == 4
+    assert triangle_count(_complete_conflict(5).adj) == 10
+    assert triangle_count(_cycle_conflict(6).adj) == 0
 
 
 def test_color_exact_rejects_bad_k():

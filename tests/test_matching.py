@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from edgepack import (Graph, MatchingPair, apply_move, evaluate,
-                      exact_max_union, find_improving_move, generate_named,
-                      greedy_init, local_search, neighborhood, parse_edge_list,
-                      random_cubic, union_objective_key)
+from edgepack import (Graph, MatchingPair, apply_move, exact_max_union,
+                      find_improving_move, generate_named, greedy_init,
+                      local_search, parse_edge_list, random_cubic,
+                      union_objective_key)
 from edgepack.matching import Move
-from oracles import max_disjoint_matching_pair, sample_subcubic_instances
+from oracles import (edge_components, evaluate, max_disjoint_matching_pair,
+                     neighborhood, sample_subcubic_instances)
 
 
 def _random_subcubic_graph(rng, nmax=9):
@@ -164,6 +165,22 @@ def test_inadmissible_move_rejected():
         apply_move(pair, Move(removals=((0, 2),)))     # 0 is in m1, not m2
     with pytest.raises(ValueError):
         apply_move(pair, Move(additions=((0, 1),)))    # already matched
+    with pytest.raises(ValueError):
+        apply_move(pair, Move(swap=3))                  # 3 is not matched
+    with pytest.raises(ValueError):
+        apply_move(pair, Move(removals=((0, 1),), swap=0))   # 0 was just removed
+
+
+def test_swap_flips_exactly_the_component_of_its_representative():
+    rng = random.Random(71)
+    for trial in range(40):
+        g = _random_subcubic_graph(rng)
+        pair = greedy_init(g, trial)
+        for rep in sorted(pair.union()):
+            comp = next(c for c in edge_components(g, pair.union()) if rep in c)
+            flipped = apply_move(pair, Move(swap=rep))
+            assert flipped.m1 == pair.m1.symmetric_difference(comp)
+            assert flipped.m2 == pair.m2.symmetric_difference(comp)
 
 
 # -- scanner vs literal neighborhood -------------------------------------------
