@@ -3,13 +3,14 @@
 Library layout:
 
 - graph: Graph type, parsing (edge list, graph6), named families, random
-  cubic graphs, the edge-distance metric, and cubic embedding.
+  cubic graphs, the edge-distance metric with per-edge distance
+  neighborhoods, and cubic embedding.
 - matching: disjoint matching pairs, the search objective over their union
   (union_objective_key), move application, the pruned improving-move scanner,
   the local search to switch-stability, and the certified exact union
   maximizer.
 - conflict: the distance-<=2 conflict graph H over leftover edges and its
-  exact k-coloring.
+  exact k-coloring (iterative DSATUR with conflict-directed backjumping).
 - solver: packing-sequence semantics, the verifier, the exact backtracking
   decision procedure, and the constructive (1^2,2^4) pipeline.
 - leftover: components of G - M1 - M2 and their shape classes.
@@ -19,7 +20,7 @@ Library layout:
 
 Literal reference implementations that the tests check the library against
 (the full objective tuple, the enumeration of every admissible move, triangle
-counting) live in the test suite, not here.
+counting, chronological DSATUR) live in the test suite, not here.
 """
 
 from .graph import (Graph, cubic_embed, edge_distance, generate_named,

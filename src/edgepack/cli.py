@@ -1,7 +1,8 @@
 """Command-line interface: generate, solve, verify, audit, and batch-run.
 
 Exit codes: 0 = SAT / valid / audit-clean, 1 = UNSAT / invalid / violations,
-2 = usage or I/O error, 3 = budget exhausted (UNKNOWN / FAIL).  All output is
+2 = usage or I/O error, 3 = budget exhausted (UNKNOWN / FAIL), 4 = internal
+error (a defect in edgepack, never a verdict on the input).  All output is
 JSON (or TSV with --format tsv) on stdout; given identical arguments the
 output is byte-identical across runs.
 """
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 from . import audit as audit_mod
 from . import graph as graph_mod
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -294,6 +297,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a crash must not exit 1, which reads as UNSAT / invalid
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ assume them.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -63,23 +64,12 @@ def build_conflict_graph(g, pair):
     """Build H for the given matching pair on g."""
     union = pair.m1 | pair.m2
     vertices = tuple(e for e in range(g.m) if e not in union)
-    masks = g.distance_masks(2)
-    left_mask = 0
-    for e in vertices:
-        left_mask |= 1 << e
-    pos = {e: i for i, e in enumerate(vertices)}
-    adj = []
-    total = 0
-    for e in vertices:
-        hit = masks[e] & left_mask
-        nbrs = []
-        while hit:
-            low = hit & -hit
-            nbrs.append(pos[low.bit_length() - 1])
-            hit ^= low
-        total += len(nbrs)
-        adj.append(tuple(nbrs))
-    return ConflictGraph(vertices, tuple(adj), total // 2)
+    pos = [-1] * g.m
+    for i, e in enumerate(vertices):
+        pos[e] = i
+    near = g.neighborhoods(2)
+    adj = tuple(tuple(pos[f] for f in near[e] if pos[f] >= 0) for e in vertices)
+    return ConflictGraph(vertices, adj, sum(map(len, adj)) // 2)
 
 
 def _components(h):
@@ -98,60 +88,119 @@ def _components(h):
                     seen[w] = True
                     comp.append(w)
                     stack.append(w)
-        out.append(sorted(comp))
+        out.append(comp)
     return out
 
 
 def color_exact(h, k):
     """Proper k-coloring of H, or a certified UNSAT after full exhaustion.
 
-    Backtracking with saturation-degree vertex selection.  Color symmetry is
-    broken by allowing at most one previously unused color at each step, so
-    color classes are opened in index order.  Components are colored
-    independently; node counts accumulate across them.
+    Backtracking with saturation-degree (DSATUR) vertex selection from a lazy
+    heap, and conflict-directed backjumping.  Color symmetry is broken by
+    allowing at most one previously unused color at each step, so color
+    classes are opened in index order.  Components are colored independently;
+    node counts accumulate across them.
+
+    The vertex chosen at each step depends only on the partial coloring, and
+    a backjump skips only subtrees that hold no coloring, so the coloring
+    found is the one chronological backtracking finds first; only the node
+    count can be smaller.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     colors = [-1] * h.n
     nodes = 0
     for comp in _components(h):
-        comp_set = set(comp)
-        sat = {v: set() for v in comp}
-
-        def pick():
-            best = None
-            key = None
-            for v in comp:
-                if colors[v] >= 0:
-                    continue
-                cand = (len(sat[v]), len(h.adj[v]), -v)
-                if key is None or cand > key:
-                    best, key = v, cand
-            return best
-
-        def backtrack(used):
-            nonlocal nodes
-            v = pick()
-            if v is None:
-                return True
-            limit = min(k, used + 1)
-            for c in range(limit):
-                if c in sat[v]:
-                    continue
-                nodes += 1
-                colors[v] = c
-                touched = []
-                for w in h.adj[v]:
-                    if w in comp_set and colors[w] < 0 and c not in sat[w]:
-                        sat[w].add(c)
-                        touched.append(w)
-                if backtrack(max(used, c + 1)):
-                    return True
-                colors[v] = -1
-                for w in touched:
-                    sat[w].discard(c)
-            return False
-
-        if not backtrack(0):
+        colorable, spent = _dsatur(h.adj, comp, k, colors)
+        nodes += spent
+        if not colorable:
             return ColoringResult("unsat", None, nodes)
     return ColoringResult("sat", tuple(colors), nodes)
+
+
+def _dsatur(adj, comp, k, colors):
+    """Color one component of H in place; returns (colorable, nodes).
+
+    The search runs on an explicit stack of frames, one per colored vertex.
+    A vertex is picked by the key (most distinct neighbor colors, highest
+    degree, lowest index); heap entries go stale when a vertex is colored or
+    its saturation changes, and are skipped when popped, so every change
+    pushes a fresh entry.
+
+    When a vertex runs out of colors, its conflict set holds, for each color
+    a neighbor blocks, the depth of the earliest such neighbor, plus the
+    conflict sets returned by the subtrees of the colors it tried.  No
+    coloring extends the assignment of the vertices in that set, so the
+    search resumes at the deepest of them.  Colors skipped by symmetry
+    breaking add nothing: each is a renaming of the new color that was
+    tried, whose conflict set therefore covers it.
+    """
+    sat = {v: set() for v in comp}
+    heap = [(0, -len(adj[v]), v) for v in comp]
+    heapq.heapify(heap)
+    depth = {}
+    # frame: [vertex, colors in use before it, touched neighbors, conflict set]
+    stack = []
+    nodes = 0
+    used = 0
+    descend = True
+
+    def release(frame):
+        # undo the frame's current color, if any, and requeue its neighbors
+        v, _, touched, _ = frame
+        c = colors[v]
+        if c < 0:
+            return
+        colors[v] = -1
+        for w in touched:
+            sat[w].discard(c)
+            heapq.heappush(heap, (-len(sat[w]), -len(adj[w]), w))
+        touched.clear()
+
+    while True:
+        if descend:
+            while heap:
+                s, _, v = heapq.heappop(heap)
+                if colors[v] < 0 and -s == len(sat[v]):
+                    break
+            else:
+                return True, nodes
+            depth[v] = len(stack)
+            stack.append([v, used, [], set()])
+        frame = stack[-1]
+        v, before, touched, conf = frame
+        c = colors[v] + 1
+        release(frame)
+        limit = min(k, before + 1)
+        blocked = sat[v]
+        while c < limit and c in blocked:
+            c += 1
+        if c < limit:
+            nodes += 1
+            colors[v] = c
+            for w in adj[v]:
+                if colors[w] < 0 and c not in sat[w]:
+                    sat[w].add(c)
+                    touched.append(w)
+                    heapq.heappush(heap, (-len(sat[w]), -len(adj[w]), w))
+            used = max(before, c + 1)
+            descend = True
+            continue
+        # out of colors: jump back to the deepest vertex of the conflict set
+        first = {}
+        for w in adj[v]:
+            cw = colors[w]
+            if cw >= 0 and depth[w] < first.get(cw, len(stack)):
+                first[cw] = depth[w]
+        conf.update(first.values())
+        if not conf:
+            return False, nodes
+        back = max(conf)
+        while len(stack) > back + 1:
+            frame = stack.pop()
+            release(frame)
+            u = frame[0]
+            heapq.heappush(heap, (-len(sat[u]), -len(adj[u]), u))
+        conf.discard(back)
+        stack[back][3] |= conf
+        descend = False

@@ -126,24 +126,12 @@ def verify(g, seq, coloring):
             raise ValueError(f"partial coloring: edge {e} is unassigned")
         if c >= k:
             raise ValueError(f"edge {e} has class {c}, sequence has {k} classes")
-    class_mask = [0] * k
-    for e, c in enumerate(assignment):
-        class_mask[c] |= 1 << e
+    near = {s: g.neighborhoods(s) for s in set(seq)}
     out = []
-    for i in range(k):
+    for e, i in enumerate(assignment):
         s = seq[i]
-        masks = g.distance_masks(s)
-        mask_i = class_mask[i]
-        mm = mask_i
-        while mm:
-            low = mm & -mm
-            e = low.bit_length() - 1
-            mm ^= low
-            close = masks[e] & mask_i & -(1 << (e + 1))
-            while close:
-                lo2 = close & -close
-                f = lo2.bit_length() - 1
-                close ^= lo2
+        for f in near[s][e]:
+            if f > e and assignment[f] == i:
                 out.append(Violation(i, e, f, edge_distance(g, e, f), s + 1))
     out.sort(key=lambda v: (v.class_index, v.e1, v.e2))
     return out

@@ -3,7 +3,8 @@
 Everything here recomputes from first principles: distances via an explicit
 line graph, colorability via plain |S|^m enumeration, maximum unions via
 enumeration of all disjoint matching pairs, the search objective and the
-literal move neighborhood via plain BFS over edge sets.  None of it calls
+literal move neighborhood via plain BFS over edge sets, and the coloring
+color_exact must find via chronological DSATUR recursion.  None of it calls
 back into the solver paths it is used to check; the only library name used
 is the Move record that apply_move consumes.
 """
@@ -173,6 +174,71 @@ def brute_k_colorable(adj, k):
         return False
 
     return rec(0)
+
+
+def dsatur_reference(adj, k):
+    """Chronological DSATUR backtracking, one recursion level per colored vertex.
+
+    The literal reference for the library's color_exact: the same vertex
+    order (most distinct neighbor colors, then highest degree, then lowest
+    index, by a linear scan), the same color-symmetry breaking (at most one
+    new color per step), components colored independently in order of their
+    smallest vertex.  adj is a list of neighbor lists.  Returns
+    (status, colors or None, nodes), one node per color tried.
+    """
+    n = len(adj)
+    colors = [-1] * n
+    nodes = 0
+    seen = [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for v in comp:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comp.sort()
+        sat = {v: set() for v in comp}
+
+        def pick():
+            best = None
+            key = None
+            for v in comp:
+                if colors[v] >= 0:
+                    continue
+                cand = (len(sat[v]), len(adj[v]), -v)
+                if key is None or cand > key:
+                    best, key = v, cand
+            return best
+
+        def backtrack(used):
+            nonlocal nodes
+            v = pick()
+            if v is None:
+                return True
+            for c in range(min(k, used + 1)):
+                if c in sat[v]:
+                    continue
+                nodes += 1
+                colors[v] = c
+                touched = []
+                for w in adj[v]:
+                    if colors[w] < 0 and c not in sat[w]:
+                        sat[w].add(c)
+                        touched.append(w)
+                if backtrack(max(used, c + 1)):
+                    return True
+                colors[v] = -1
+                for w in touched:
+                    sat[w].discard(c)
+            return False
+
+        if not backtrack(0):
+            return "unsat", None, nodes
+    return "sat", tuple(colors), nodes
 
 
 def brute_max_induced_matching(n, edges):

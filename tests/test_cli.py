@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from edgepack import generate_named, to_edge_list_text, to_graph6, random_cubic
-from edgepack.cli import main
+from edgepack.cli import EXIT_INTERNAL, main
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +192,20 @@ def test_budget_exhaustion_exit3(capsys):
                            "--sequence", "1^2,2^4", "--budget", "5")
     assert code == 3
     assert json.loads(out)["status"] == "unknown"
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("edgepack.cli.solve_exact", boom)
+    code, out, err = run_cli(capsys, "solve", "--family", "petersen",
+                             "--sequence", "1^2,2^4")
+    assert code == EXIT_INTERNAL
+    assert code not in (0, 1, 2, 3)
+    assert out == ""
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "error: internal: RuntimeError: boom"
 
 
 def test_usage_errors(capsys):

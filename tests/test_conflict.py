@@ -9,8 +9,8 @@ import pytest
 
 from edgepack import (ConflictGraph, Graph, MatchingPair, build_conflict_graph,
                       color_exact, edge_distance, exact_max_union,
-                      generate_named, greedy_init)
-from oracles import brute_k_colorable, triangle_count
+                      generate_named, greedy_init, random_cubic)
+from oracles import brute_k_colorable, dsatur_reference, triangle_count
 
 
 def _complete_conflict(n):
@@ -22,6 +22,11 @@ def _complete_conflict(n):
 def _cycle_conflict(n):
     adj = tuple(tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n))
     return ConflictGraph(tuple(range(n)), adj, n)
+
+
+def _path_conflict(n):
+    adj = tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n))
+    return ConflictGraph(tuple(range(n)), adj, n - 1)
 
 
 def test_build_c5_single_vertex():
@@ -105,6 +110,68 @@ def test_color_exact_proper_and_matches_brute_oracle():
                     assert 0 <= res.colors[i] < k
                     for j in adj[i]:
                         assert res.colors[i] != res.colors[j]
+
+
+def _same_as_reference(h, k):
+    res = color_exact(h, k)
+    status, colors, nodes = dsatur_reference(h.adj, k)
+    assert (res.status, res.colors) == (status, colors)
+    assert res.nodes <= nodes
+    return status, res.nodes < nodes
+
+
+def test_color_exact_matches_chronological_reference_on_greedy_pairs():
+    statuses = set()
+    for n in range(10, 81, 10):
+        for seed in range(8):
+            g = random_cubic(n, seed)
+            h = build_conflict_graph(g, greedy_init(g, seed))
+            for k in (1, 2, 3, 4):
+                statuses.add(_same_as_reference(h, k)[0])
+    assert statuses == {"sat", "unsat"}
+
+
+def _random_conflict(rng, n, p):
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i].add(j)
+                adj[j].add(i)
+    return ConflictGraph(tuple(range(n)), tuple(tuple(sorted(a)) for a in adj),
+                         sum(len(a) for a in adj) // 2)
+
+
+def test_color_exact_matches_chronological_reference_on_small_graphs():
+    rng = random.Random(41)
+    unsat = 0
+    for trial in range(400):
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        h = _random_conflict(rng, rng.randint(1, 14), p)
+        for k in (1, 2, 3, 4):
+            unsat += _same_as_reference(h, k)[0] == "unsat"
+    assert unsat > 0
+
+
+def test_color_exact_matches_chronological_reference_near_the_threshold():
+    # 4-coloring at average degree ~7 backtracks over many levels, which is
+    # where backjumps skip nodes and uncolored vertices must re-enter the heap
+    rng = random.Random(7)
+    skipped = 0
+    for trial in range(200):
+        n = rng.randint(50, 100)
+        h = _random_conflict(rng, n, 7.0 / (n - 1))
+        skipped += _same_as_reference(h, 4)[1]
+    assert skipped > 0
+
+
+def test_color_exact_long_path_and_odd_cycle_need_no_recursion():
+    # one frame per colored vertex: 3000 of them at the default recursion limit
+    h = _path_conflict(3000)
+    res = color_exact(h, 2)
+    assert res.sat
+    assert all(res.colors[i] != res.colors[i + 1] for i in range(h.n - 1))
+    assert color_exact(_cycle_conflict(3001), 2).status == "unsat"
 
 
 def test_coloring_classes_are_induced_matchings():

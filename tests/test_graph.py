@@ -223,6 +223,23 @@ def test_distance_masks_match_pairwise_distances():
                 assert got == want
 
 
+def test_neighborhoods_match_pairwise_distances_and_masks():
+    rng = random.Random(6)
+    for _ in range(20):
+        g = _random_graph(rng, rng.randint(3, 8))
+        for radius in (1, 2, 3):
+            near = g.neighborhoods(radius)
+            assert len(near) == g.m
+            for i in range(g.m):
+                want = [j for j in range(g.m)
+                        if j != i and edge_distance(g, i, j) <= radius]
+                assert near[i] == tuple(want)
+            assert g.distance_masks(radius) == tuple(
+                sum(1 << f for f in row) for row in near)
+    with pytest.raises(ValueError):
+        generate_named("c5").neighborhoods(0)
+
+
 # -- cubic embedding ---------------------------------------------------------
 
 def test_cubic_embed_identity_on_cubic():

@@ -8,9 +8,9 @@ import pytest
 
 from edgepack import (EdgeColoring, Graph, PackingSequence, SEQ_12_24,
                       assemble, build_conflict_graph, color_exact,
-                      exact_max_union, generate_named, local_search,
-                      max_induced_matching, parse_edge_list, random_cubic,
-                      solve_exact, solve_pipeline, verify)
+                      exact_max_union, generate_named, greedy_init,
+                      local_search, max_induced_matching, parse_edge_list,
+                      random_cubic, solve_exact, solve_pipeline, verify)
 from oracles import enumerate_packing_colorable, sample_subcubic_instances
 
 
@@ -175,6 +175,17 @@ def test_assemble_rejects_improper_coloring():
     pair, _ = exact_max_union(g)
     with pytest.raises(ValueError):
         assemble(pair, (0, 0, 0, 0))   # H is K4: two equal colors collide
+
+
+def test_greedy_colouring_tier_at_scale():
+    # greedy pair -> H -> color_exact -> assemble -> verify at the default
+    # recursion limit; H has over a thousand vertices in one component
+    g = random_cubic(2000, 0)
+    pair = greedy_init(g, 0)
+    h = build_conflict_graph(g, pair)
+    col = color_exact(h, 4)
+    assert col.sat
+    assert verify(g, SEQ_12_24, assemble(pair, col.colors)) == []
 
 
 def test_pipeline_c6_uses_only_matchings():
