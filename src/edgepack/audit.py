@@ -11,6 +11,15 @@ Charges are exact rationals: each conflict-graph vertex starts at its degree
 minus 9/2, and rule R0 moves one unit along every matched edge from a
 leftover-degree-1 endpoint's component to a leftover-degree-2 endpoint's
 component.
+
+check_lemmas and compute_charges read one view of the leftover graph
+G - M1 - M2: its classified components (build_leftover), each vertex's
+leftover neighbors, and the list of union links, the M1 u M2 edges whose
+two ends both lie in leftover components.  The link predicates and the R0
+transfers are filters over that list; the rule for union edges joining two
+P3 middles is the one the search objective counts with
+(leftover._middle_links).  Every audit raises ValueError when the pair
+belongs to another graph.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .conflict import build_conflict_graph
-from .leftover import K13, P3, P4, VIOLATION, build_leftover
+from .leftover import K13, P3, P4, VIOLATION, _middle_links, build_leftover
 from .matching import find_improving_move
 
 
@@ -100,18 +109,46 @@ class ChargeReport:
         }
 
 
+def _require_pair_of(g, pair):
+    if pair.graph is not g and pair.graph != g:
+        raise ValueError("pair does not belong to this graph")
+
+
+def _leftover_view(g, pair):
+    """The leftover graph as the audits read it: (lg, lnbr, links).
+
+    lg is build_leftover's result.  lnbr[v] lists v's leftover neighbors in
+    ascending edge order, so len(lnbr[v]) is v's leftover degree.  links
+    holds (e, p, q, comp_p, comp_q) for every union edge e = pq, ascending,
+    in both directions, whose two ends both lie in leftover components; the
+    two components may be the same one.
+    """
+    lg = build_leftover(g, pair.union())
+    lnbr = [[] for _ in range(g.n)]
+    for e in lg.edges:
+        u, v = g.endpoints(e)
+        lnbr[u].append(v)
+        lnbr[v].append(u)
+    comp_of = lg.component_of()
+    links = []
+    for e in sorted(pair.union()):
+        x, y = g.endpoints(e)
+        for p, q in ((x, y), (y, x)):
+            if p in comp_of and q in comp_of:
+                links.append((e, p, q, comp_of[p], comp_of[q]))
+    return lg, lnbr, links
+
+
+def _first(witnesses):
+    """The predicate result for the first violation witness, if any."""
+    witness = next(witnesses, None)
+    return PredicateResult(witness is None, witness)
+
+
 def classify_components(g, pair):
     """Classified components of the leftover graph for this pair."""
+    _require_pair_of(g, pair)
     return list(build_leftover(g, pair.union()).components)
-
-
-def _leftover_degrees(g, leftover_edges):
-    deg = [0] * g.n
-    for e in leftover_edges:
-        u, v = g.endpoints(e)
-        deg[u] += 1
-        deg[v] += 1
-    return deg
 
 
 def check_lemmas(g, pair, stability=None):
@@ -121,17 +158,9 @@ def check_lemmas(g, pair, stability=None):
     stability tuple is attached to the report so downstream consumers know
     which predicates were guaranteed at that level.
     """
-    lg = build_leftover(g, pair.union())
+    _require_pair_of(g, pair)
+    lg, lnbr, links = _leftover_view(g, pair)
     comps = lg.components
-    comp_of = lg.component_of()
-    union = sorted(pair.union())
-    left = set(lg.edges)
-    ldeg = _leftover_degrees(g, lg.edges)
-    lnbr = [[] for _ in range(g.n)]
-    for e in lg.edges:
-        u, v = g.endpoints(e)
-        lnbr[u].append(v)
-        lnbr[v].append(u)
 
     no_c1 = PredicateResult(True)
     for e in lg.edges:
@@ -173,130 +202,77 @@ def check_lemmas(g, pair, stability=None):
         return None
 
     for start in range(g.n):
-        if ldeg[start] == 0:
+        if not lnbr[start]:
             continue
         got = dfs_path(start, [start])
         if got:
             no_long_path = PredicateResult(False, {"vertices": got})
             break
 
-    def _link_predicate(kind_a, kind_b):
-        for e in union:
-            x, y = g.endpoints(e)
-            for p, q in ((x, y), (y, x)):
-                ca, cb = comp_of.get(p), comp_of.get(q)
-                if ca is None or cb is None or ca == cb:
-                    continue
-                if comps[ca].kind != kind_a or comps[cb].kind != kind_b:
-                    continue
-                return PredicateResult(False, {
-                    "edge": e, "components": [list(comps[ca].edges), list(comps[cb].edges)]})
-        return PredicateResult(True)
+    def kind_link(kind_a, kind_b):
+        return _first(
+            {"edge": e, "components": [list(comps[ca].edges), list(comps[cb].edges)]}
+            for e, _, _, ca, cb in links
+            if ca != cb and comps[ca].kind == kind_a and comps[cb].kind == kind_b)
 
-    no_k13_k13_link = _link_predicate(K13, K13)
-    no_k13_p4_link = _link_predicate(K13, P4)
+    no_k13_k13_link = kind_link(K13, K13)
+    no_k13_p4_link = kind_link(K13, P4)
 
-    no_p4_midp3_link = PredicateResult(True)
-    for e in union:
-        x, y = g.endpoints(e)
-        for p, q in ((x, y), (y, x)):
-            ca, cb = comp_of.get(p), comp_of.get(q)
-            if ca is None or cb is None or ca == cb:
-                continue
-            if comps[ca].kind == P4 and comps[ca].degree_in(g, p) == 1 \
-                    and comps[cb].kind == P3 and comps[cb].middle(g) == q:
-                no_p4_midp3_link = PredicateResult(False, {
-                    "edge": e, "p4": list(comps[ca].edges), "p3": list(comps[cb].edges)})
-                break
-        if not no_p4_midp3_link.holds:
-            break
+    p3_comps = [i for i, c in enumerate(comps) if c.kind == P3]
+    p3_middle = {comps[i].middle(g): i for i in p3_comps}
 
-    no_p4_at_all = PredicateResult(True)
-    for comp in comps:
-        if comp.kind == P4:
-            no_p4_at_all = PredicateResult(False, {"edges": list(comp.edges)})
-            break
+    no_p4_midp3_link = _first(
+        {"edge": e, "p4": list(comps[ca].edges), "p3": list(comps[cb].edges)}
+        for e, p, q, ca, cb in links
+        if comps[ca].kind == P4 and len(lnbr[p]) == 1 and q in p3_middle)
 
-    p3_middle = {}
-    for i, comp in enumerate(comps):
-        if comp.kind == P3:
-            p3_middle[comp.middle(g)] = i
-    paired_pairs = []
-    for e in union:
-        x, y = g.endpoints(e)
-        if x in p3_middle and y in p3_middle and p3_middle[x] != p3_middle[y]:
-            paired_pairs.append((p3_middle[x], p3_middle[y], e))
+    no_p4_at_all = _first({"edges": list(c.edges)} for c in comps if c.kind == P4)
+
+    paired_pairs = list(_middle_links(g, sorted(pair.union()), p3_middle))
+
+    links_at = {}
+    for link in links:
+        links_at.setdefault(link[1], []).append(link)
+
+    def p3_links(v, ia):
+        """(edge, far end, component) of the links from v into a P3 other than ia."""
+        return [(e, q, cb) for e, _, q, _, cb in links_at.get(v, ())
+                if cb != ia and comps[cb].kind == P3]
+
+    def leaves(ia):
+        return [v for v in comps[ia].vertices if len(lnbr[v]) == 1]
 
     # one leaf of a P3 linked to another P3's middle and to a third P3
-    leaf_double = PredicateResult(True)
-    p3_comps = [i for i, c in enumerate(comps) if c.kind == P3]
-    u_at = [[] for _ in range(g.n)]
-    for e in union:
-        u, v = g.endpoints(e)
-        u_at[u].append(e)
-        u_at[v].append(e)
-    for ia in p3_comps:
-        for leaf in comps[ia].leaves(g):
-            links = []
-            for e in u_at[leaf]:
-                q = g.other_end(e, leaf)
-                cb = comp_of.get(q)
-                if cb is not None and cb != ia and comps[cb].kind == P3:
-                    links.append((e, q, cb))
-            has_mid = [(e, q, cb) for e, q, cb in links if comps[cb].middle(g) == q]
-            if has_mid and len(links) >= 2:
-                leaf_double = PredicateResult(False, {
-                    "leaf": leaf, "p3": list(comps[ia].edges),
-                    "links": [{"edge": e, "other_p3": list(comps[cb].edges)}
-                              for e, q, cb in links]})
-                break
-        if not leaf_double.holds:
-            break
+    def leaf_double_witnesses():
+        for ia in p3_comps:
+            for leaf in leaves(ia):
+                hits = p3_links(leaf, ia)
+                if len(hits) >= 2 and any(q in p3_middle for _, q, _ in hits):
+                    yield {"leaf": leaf, "p3": list(comps[ia].edges),
+                           "links": [{"edge": e, "other_p3": list(comps[cb].edges)}
+                                     for e, _, cb in hits]}
 
     # P3 middle -> P3 leaf link whose middle links onward to a third P3
-    chain = PredicateResult(True)
-    for ia in p3_comps:
-        mid_a = comps[ia].middle(g)
-        for e in u_at[mid_a]:
-            q = g.other_end(e, mid_a)
-            ib = comp_of.get(q)
-            if ib is None or ib == ia or comps[ib].kind != P3:
-                continue
-            if comps[ib].middle(g) == q:
-                continue   # middle-middle links are the paired case
-            mid_b = comps[ib].middle(g)
-            for e2 in u_at[mid_b]:
-                z = g.other_end(e2, mid_b)
-                ic = comp_of.get(z)
-                if ic is not None and ic != ib and comps[ic].kind == P3:
-                    chain = PredicateResult(False, {
-                        "p3_chain": [list(comps[ia].edges), list(comps[ib].edges),
-                                     list(comps[ic].edges)],
-                        "edges": [e, e2]})
-                    break
-            if not chain.holds:
-                break
-        if not chain.holds:
-            break
+    def chain_witnesses():
+        for ia in p3_comps:
+            for e, q, ib in p3_links(comps[ia].middle(g), ia):
+                if q in p3_middle:
+                    continue   # middle-middle links are the paired case
+                for e2, _, ic in p3_links(comps[ib].middle(g), ib):
+                    yield {"p3_chain": [list(comps[ia].edges), list(comps[ib].edges),
+                                        list(comps[ic].edges)],
+                           "edges": [e, e2]}
 
     # both leaves of one P3 linked to middles of two other P3s
-    two_leaves = PredicateResult(True)
-    for ia in p3_comps:
-        hits = []
-        for leaf in comps[ia].leaves(g):
-            for e in u_at[leaf]:
-                q = g.other_end(e, leaf)
-                cb = comp_of.get(q)
-                if cb is not None and cb != ia and comps[cb].kind == P3 \
-                        and comps[cb].middle(g) == q:
-                    hits.append((leaf, e, cb))
-        used = {cb for _, _, cb in hits}
-        if len({leaf for leaf, _, _ in hits}) >= 2 and len(used) >= 2:
-            two_leaves = PredicateResult(False, {
-                "p3": list(comps[ia].edges),
-                "links": [{"leaf": leaf, "edge": e, "other_p3": list(comps[cb].edges)}
-                          for leaf, e, cb in hits]})
-            break
+    def two_leaves_witnesses():
+        for ia in p3_comps:
+            hits = [(leaf, e, cb) for leaf in leaves(ia)
+                    for e, q, cb in p3_links(leaf, ia) if q in p3_middle]
+            used = {cb for _, _, cb in hits}
+            if len({leaf for leaf, _, _ in hits}) >= 2 and len(used) >= 2:
+                yield {"p3": list(comps[ia].edges),
+                       "links": [{"leaf": leaf, "edge": e, "other_p3": list(comps[cb].edges)}
+                                 for leaf, e, cb in hits]}
 
     return LemmaReport(
         no_c1=no_c1,
@@ -309,9 +285,9 @@ def check_lemmas(g, pair, stability=None):
         paired_p3_count=len(paired_pairs),
         paired_p3_at_most_one=len(paired_pairs) <= 1,
         paired_p3_pairs=tuple((a, b) for a, b, _ in paired_pairs),
-        leaf_double_mid_link=leaf_double,
-        chain_p3_p3_p3=chain,
-        two_leaves_two_mids=two_leaves,
+        leaf_double_mid_link=_first(leaf_double_witnesses()),
+        chain_p3_p3_p3=_first(chain_witnesses()),
+        two_leaves_two_mids=_first(two_leaves_witnesses()),
         stability=stability,
     )
 
@@ -324,7 +300,8 @@ def compute_charges(g, pair):
     leftover-degree-2 vertex moves one unit between their components.
     Transfers conserve charge, so the net total equals the initial total.
     """
-    lg = build_leftover(g, pair.union())
+    _require_pair_of(g, pair)
+    lg, lnbr, links = _leftover_view(g, pair)
     comps = lg.components
     for comp in comps:
         if comp.kind == VIOLATION:
@@ -335,15 +312,9 @@ def compute_charges(g, pair):
     initial = {}
     for i, e in enumerate(h.vertices):
         initial[e] = Fraction(h.degree(i)) - half9
-    comp_of = lg.component_of()
     comp_initial = [sum((initial[e] for e in comp.edges), Fraction(0)) for comp in comps]
-    ldeg = _leftover_degrees(g, lg.edges)
-    transfers = []
-    for e in sorted(pair.union()):
-        x, y = g.endpoints(e)
-        for p, q in ((x, y), (y, x)):
-            if ldeg[p] == 1 and ldeg[q] == 2:
-                transfers.append((comp_of[p], comp_of[q], e))
+    transfers = [(cp, cq, e) for e, p, q, cp, cq in links
+                 if len(lnbr[p]) == 1 and len(lnbr[q]) == 2]
     net = list(comp_initial)
     for src, dst, _ in transfers:
         net[src] -= 1
@@ -372,8 +343,7 @@ def ky_bound(k, n):
     return (Fraction(k, 2) - Fraction(1, k - 1)) * n - Fraction(k * (k - 3), 2 * (k - 1))
 
 
-def is_switch_stable(g, pair, r=2, s=1, a=3):
-    """True iff no move in the (r, s, a) neighborhood improves the objective."""
-    if pair.graph is not g and pair.graph != g:
-        raise ValueError("pair does not belong to this graph")
-    return find_improving_move(pair, r, s, a) is None
+def is_switch_stable(g, pair):
+    """True iff no move in the (2,1,3) neighborhood improves the objective."""
+    _require_pair_of(g, pair)
+    return find_improving_move(pair) is None

@@ -32,13 +32,26 @@ class CliError(Exception):
     pass
 
 
+def _read_input(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+
+
+def _family_graph(args, seed):
+    fam = args.family.strip().lower()
+    if fam == "random_cubic":
+        if args.n is None:
+            raise CliError("--family random_cubic needs --n")
+        return graph_mod.random_cubic(args.n, seed)
+    return graph_mod.generate_named(fam)
+
+
 def _load_graph(args):
     if getattr(args, "input", None):
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.input}: {exc}") from None
+        text = _read_input(args.input)
         if args.input.endswith((".g6", ".graph6")):
             lines = [ln for ln in text.splitlines() if ln.strip()]
             if len(lines) != 1:
@@ -46,12 +59,7 @@ def _load_graph(args):
             return graph_mod.parse_graph6(lines[0])
         return graph_mod.parse_edge_list(text)
     if getattr(args, "family", None):
-        fam = args.family.strip().lower()
-        if fam == "random_cubic":
-            if args.n is None:
-                raise CliError("--family random_cubic needs --n")
-            return graph_mod.random_cubic(args.n, args.seed)
-        return graph_mod.generate_named(fam)
+        return _family_graph(args, args.seed)
     raise CliError("provide --input or --family")
 
 
@@ -168,11 +176,7 @@ def _cmd_batch(args):
     errors = 0
     graphs = []
     if args.input:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.input}: {exc}") from None
+        lines = _read_input(args.input).splitlines()
         for idx, line in enumerate(ln for ln in lines if ln.strip()):
             try:
                 graphs.append((idx, graph_mod.parse_graph6(line)))
@@ -180,14 +184,8 @@ def _cmd_batch(args):
                 records.append({"index": idx, "status": "error", "error": str(exc)})
                 errors += 1
     elif args.family:
-        fam = args.family.strip().lower()
         for idx in range(args.count):
-            if fam == "random_cubic":
-                if args.n is None:
-                    raise CliError("--family random_cubic needs --n")
-                graphs.append((idx, graph_mod.random_cubic(args.n, args.seed + idx)))
-            else:
-                graphs.append((idx, graph_mod.generate_named(fam)))
+            graphs.append((idx, _family_graph(args, args.seed + idx)))
     else:
         raise CliError("batch needs --input or --family")
 

@@ -31,18 +31,6 @@ class ConflictGraph:
     def n(self):
         return len(self.vertices)
 
-    def index_of(self, edge_id):
-        lo, hi = 0, len(self.vertices)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.vertices[mid] < edge_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.vertices) or self.vertices[lo] != edge_id:
-            raise KeyError(f"edge {edge_id} is not a leftover edge")
-        return lo
-
     def degree(self, i):
         return len(self.adj[i])
 

@@ -9,7 +9,6 @@ is tagged VIOLATION with a reason.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 P2 = "P2"
@@ -46,15 +45,6 @@ class Component:
             raise ValueError("middle() is only defined for P3 components")
         return _middle(g, self.edges)
 
-    def center(self, g):
-        """The degree-3 vertex of a K13 component."""
-        if self.kind != K13:
-            raise ValueError("center() is only defined for K13 components")
-        for v in self.vertices:
-            if self.degree_in(g, v) == 3:
-                return v
-        raise AssertionError("K13 has no degree-3 vertex")
-
 
 @dataclass(frozen=True)
 class LeftoverGraph:
@@ -72,26 +62,10 @@ class LeftoverGraph:
         return out
 
 
-def _tree_diameter(adj, start):
-    def far(v):
-        dist = {v: 0}
-        q = deque([v])
-        last = v
-        while q:
-            x = q.popleft()
-            last = x
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    q.append(y)
-        return last, dist[last]
-
-    a, _ = far(start)
-    _, d = far(a)
-    return d
-
-
 def _classify(g, vertices, edges):
+    """Shape of a connected component.  A tree with 3 or 4 edges is told
+    apart by its maximum degree alone: P4 has 2 and K13 3; among the 4-edge
+    trees P5 has 2, the C1 fork 3 and K1,4 4."""
     ne, nv = len(edges), len(vertices)
     if ne >= nv:
         return VIOLATION, REASON_CYCLE
@@ -99,22 +73,32 @@ def _classify(g, vertices, edges):
         return P2, None
     if ne == 2:
         return P3, None
-    adj = {v: [] for v in vertices}
+    if ne > 4:
+        return VIOLATION, REASON_TOO_MANY
+    deg = {}
     for e in edges:
-        u, v = g.endpoints(e)
-        adj[u].append(v)
-        adj[v].append(u)
+        for v in g.endpoints(e):
+            deg[v] = deg.get(v, 0) + 1
+    top = max(deg.values())
     if ne == 3:
-        return (K13, None) if max(len(a) for a in adj.values()) == 3 else (P4, None)
-    if ne == 4 and _tree_diameter(adj, next(iter(adj))) == 3:
-        return VIOLATION, REASON_C1
-    return VIOLATION, REASON_TOO_MANY
+        return (K13, None) if top == 3 else (P4, None)
+    return (VIOLATION, REASON_C1) if top == 3 else (VIOLATION, REASON_TOO_MANY)
 
 
 def _middle(g, edges):
     """The vertex shared by the two edges of a P3."""
     (a, b), (c, d) = g.endpoints(edges[0]), g.endpoints(edges[1])
     return a if a in (c, d) else b
+
+
+def _middle_links(g, union_edges, middles):
+    """Yield (comp, comp, edge) for each union edge, in the given order, that
+    joins the middles of two different P3 components; middles maps each P3
+    middle vertex to its component index."""
+    for e in union_edges:
+        x, y = g.endpoints(e)
+        if x in middles and y in middles and middles[x] != middles[y]:
+            yield middles[x], middles[y], e
 
 
 def _walk(g, left):

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .leftover import P3, P4, _classify, _middle, _walk
+from .leftover import P3, P4, _classify, _middle, _middle_links, _walk
 
 
 class MatchingPair:
@@ -120,6 +120,16 @@ def greedy_init(g, seed):
     return MatchingPair(g, m1, m2)
 
 
+def _ids(mask):
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def union_objective_key(g, u_mask):
     """Objective key computed directly from a union bitmask.
 
@@ -133,12 +143,7 @@ def union_objective_key(g, u_mask):
     left_mask = all_mask & ~u_mask
     union_size = u_mask.bit_count()
 
-    left = []
-    mm = left_mask
-    while mm:
-        low = mm & -mm
-        left.append(low.bit_length() - 1)
-        mm ^= low
+    left = _ids(left_mask)
 
     h_edges = 0
     for e in left:
@@ -166,13 +171,7 @@ def union_objective_key(g, u_mask):
 
     paired = 0
     if middles:
-        um = u_mask
-        while um:
-            low = um & -um
-            x, y = g.endpoints(low.bit_length() - 1)
-            um ^= low
-            if x in middles and y in middles and middles[x] != middles[y]:
-                paired += 1
+        paired = sum(1 for _ in _middle_links(g, _ids(u_mask), middles))
     return (-union_size, h_edges, p4, tri, paired)
 
 
@@ -580,37 +579,41 @@ def _find_improving_move(state, r, s, a, memo):
     return None
 
 
-def find_improving_move(pair, r=2, s=1, a=3, memo=None):
+def find_improving_move(pair, r=2, s=1, a=3):
     """Public scanner: first improving move for the pair, or None when stable."""
     if not (0 <= r <= 2 and 0 <= s <= 1 and 0 <= a <= 3):
         raise ValueError("scanner caps are r <= 2, s <= 1, a <= 3")
     state = _State(pair, _Counter(None))
-    return _find_improving_move(state, r, s, a, {} if memo is None else memo)
+    return _find_improving_move(state, r, s, a, {})
 
 
-def local_search(g, seed, budget=200_000, restarts=20, r=2, s=1, a=3):
+_RESTARTS = 20
+
+
+def local_search(g, seed, budget=200_000):
     """First-improvement local search to switch-stability.
 
     Runs from greedy_init(seed), accepting the first improving move found in
-    the deterministic scan order until none exists.  When a restart exhausts
-    its move-evaluation budget before reaching stability, the search restarts
-    from greedy_init(seed + i); after the last restart the best pair seen is
-    returned flagged not-stable.  The result is never worse than the greedy
-    pair it started from.
+    the deterministic scan order of the full (2,1,3) neighborhood until none
+    exists.  When a start exhausts its move-evaluation budget before reaching
+    stability, the search restarts from greedy_init(seed + i), 20 starts in
+    all; after the last one the best pair seen is returned flagged
+    not-stable.  The result is never worse than the greedy pair it
+    started from.
     """
     g.require_subcubic("local_search")
     memo = {}
     best_pair = None
     best_key = None
     total = 0
-    for i in range(restarts):
+    for i in range(_RESTARTS):
         pair = greedy_init(g, seed + i)
         counter = _Counter(budget)
         tripped = False
         while True:
             state = _State(pair, counter)
             try:
-                move = _find_improving_move(state, r, s, a, memo)
+                move = _find_improving_move(state, 2, 1, 3, memo)
             except BudgetExhausted:
                 tripped = True
                 break
@@ -623,21 +626,24 @@ def local_search(g, seed, budget=200_000, restarts=20, r=2, s=1, a=3):
         key = union_objective_key(g, pair.union_mask())
         if best_key is None or key < best_key:
             best_pair, best_key = pair, key
-    return SearchResult(best_pair, False, total, restarts)
+    return SearchResult(best_pair, False, total, _RESTARTS)
 
 
-def exact_max_union(g, max_edges=24):
+_EXACT_MAX_EDGES = 24
+
+
+def exact_max_union(g):
     """Certified maximum |M1 u M2| by exhaustive branch and bound.
 
     Every edge is assigned to m1, m2, or neither, with matching-feasibility
     pruning, an optimistic union bound, and m1/m2 exchange symmetry broken by
     forcing the first matched edge into m1.  Among maximum unions the number
     of conflict-graph edges is minimized exactly.  Returns (pair, certified
-    union size).  Guarded to m <= max_edges.
+    union size).  Guarded to m <= 24.
     """
     g.require_subcubic("exact_max_union")
-    if g.m > max_edges:
-        raise ValueError(f"exact_max_union guard: m={g.m} exceeds {max_edges}")
+    if g.m > _EXACT_MAX_EDGES:
+        raise ValueError(f"exact_max_union guard: m={g.m} exceeds {_EXACT_MAX_EDGES}")
     masks2 = g.distance_masks(2)
     m = g.m
     cover = {1: [-1] * g.n, 2: [-1] * g.n}

@@ -284,8 +284,7 @@ def assemble(pair, h_colors):
     return EdgeColoring(tuple(assignment))
 
 
-def solve_pipeline(g, seed, search_budget=200_000, search_restarts=20,
-                   retries=8, exact_budget=50_000_000):
+def solve_pipeline(g, seed, retries=8, exact_budget=50_000_000):
     """Constructive (1^2,2^4) solver: local search, then 4-color H, then assemble.
 
     Retries with fresh seeds when H is not 4-colorable for the pair found; if
@@ -297,8 +296,7 @@ def solve_pipeline(g, seed, search_budget=200_000, search_restarts=20,
         raise ValueError("solve_pipeline requires a connected graph")
     nodes = 0
     for attempt in range(retries):
-        result = local_search(g, seed + attempt, budget=search_budget,
-                              restarts=search_restarts)
+        result = local_search(g, seed + attempt)
         h = build_conflict_graph(g, result.pair)
         col = color_exact(h, 4)
         nodes += col.nodes
@@ -317,10 +315,14 @@ def solve_pipeline(g, seed, search_budget=200_000, search_restarts=20,
     return SolveResult("fail", None, nodes, "fallback")
 
 
-def max_induced_matching(g, max_edges=24):
-    """Maximum size of an induced matching, by exhaustive branch and bound."""
-    if g.m > max_edges:
-        raise ValueError(f"max_induced_matching guard: m={g.m} exceeds {max_edges}")
+_INDUCED_MAX_EDGES = 24
+
+
+def max_induced_matching(g):
+    """Maximum size of an induced matching, by exhaustive branch and bound;
+    guarded to m <= 24."""
+    if g.m > _INDUCED_MAX_EDGES:
+        raise ValueError(f"max_induced_matching guard: m={g.m} exceeds {_INDUCED_MAX_EDGES}")
     if g.m == 0:
         return 0
     masks2 = g.distance_masks(2)

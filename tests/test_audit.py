@@ -48,6 +48,21 @@ def test_classify_long_path_violation():
     assert comps[0].reason == "too-many-edges"
 
 
+def test_classify_small_trees_by_maximum_degree():
+    trees = {
+        "P4": ([(0, 1), (1, 2), (2, 3)], ("P4", None)),
+        "K13": ([(0, 1), (0, 2), (0, 3)], ("K13", None)),
+        "P5": ([(0, 1), (1, 2), (2, 3), (3, 4)], ("VIOLATION", "too-many-edges")),
+        "fork": ([(0, 1), (0, 2), (0, 3), (3, 4)], ("VIOLATION", "C1-shape")),
+        "K14": ([(0, 1), (0, 2), (0, 3), (0, 4)], ("VIOLATION", "too-many-edges")),
+    }
+    for name, (edges, want) in trees.items():
+        g = Graph(edges, n=5)
+        comps = classify_components(g, MatchingPair(g))
+        assert [(c.kind, c.reason) for c in comps] == [want], name
+    assert not Graph(trees["K14"][0], n=5).is_subcubic()
+
+
 def test_classify_stable_pairs_basic_only():
     for seed in range(6):
         g = random_cubic(16, seed)
@@ -265,6 +280,15 @@ def test_charges_reject_violation_components():
     g = generate_named("k4")
     with pytest.raises(ValueError):
         compute_charges(g, _pair(g, [(0, 1)], []))
+
+
+def test_audit_layer_rejects_a_pair_of_another_graph():
+    g1, g2 = generate_named("petersen"), random_cubic(10, 0)
+    assert g1.m == g2.m and g1 != g2
+    pair = greedy_init(g1, 0)
+    for audit in (check_lemmas, classify_components, compute_charges, is_switch_stable):
+        with pytest.raises(ValueError, match="pair does not belong to this graph"):
+            audit(g2, pair)
 
 
 # -- ky_bound -----------------------------------------------------------------------
