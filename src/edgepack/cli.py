@@ -40,13 +40,15 @@ def _read_input(path):
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
-def _family_graph(args, seed):
+def _family(args):
+    """seed -> graph for --family, with the family's options checked once."""
     fam = args.family.strip().lower()
     if fam == "random_cubic":
         if args.n is None:
             raise CliError("--family random_cubic needs --n")
-        return graph_mod.random_cubic(args.n, seed)
-    return graph_mod.generate_named(fam)
+        return lambda seed: graph_mod.random_cubic(args.n, seed)
+    g = graph_mod.generate_named(fam)
+    return lambda seed: g
 
 
 def _load_graph(args):
@@ -59,7 +61,7 @@ def _load_graph(args):
             return graph_mod.parse_graph6(lines[0])
         return graph_mod.parse_edge_list(text)
     if getattr(args, "family", None):
-        return _family_graph(args, args.seed)
+        return _family(args)(args.seed)
     raise CliError("provide --input or --family")
 
 
@@ -111,7 +113,7 @@ def _cmd_solve(args):
         result = solve_pipeline(g, args.seed)
     else:
         result = solve_exact(g, seq, budget=args.budget)
-    _emit(result.to_json_dict(g, seq), args.format)
+    _emit(result.to_json_dict(seq), args.format)
     if result.status == "sat":
         return EXIT_OK
     if result.status == "unsat":
@@ -184,8 +186,11 @@ def _cmd_batch(args):
                 records.append({"index": idx, "status": "error", "error": str(exc)})
                 errors += 1
     elif args.family:
+        if args.count < 0:
+            raise CliError("--count must be >= 0")
+        make = _family(args)
         for idx in range(args.count):
-            graphs.append((idx, _family_graph(args, args.seed + idx)))
+            graphs.append((idx, make(args.seed + idx)))
     else:
         raise CliError("batch needs --input or --family")
 

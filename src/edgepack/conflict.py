@@ -14,6 +14,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .graph import _components
+
 
 @dataclass(frozen=True)
 class ConflictGraph:
@@ -60,26 +62,6 @@ def build_conflict_graph(g, pair):
     return ConflictGraph(vertices, adj, sum(map(len, adj)) // 2)
 
 
-def _components(h):
-    seen = [False] * h.n
-    out = []
-    for s in range(h.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in h.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(comp)
-    return out
-
-
 def color_exact(h, k):
     """Proper k-coloring of H, or a certified UNSAT after full exhaustion.
 
@@ -98,7 +80,7 @@ def color_exact(h, k):
         raise ValueError("k must be >= 1")
     colors = [-1] * h.n
     nodes = 0
-    for comp in _components(h):
+    for comp in _components(h.adj):
         colorable, spent = _dsatur(h.adj, comp, k, colors)
         nodes += spent
         if not colorable:

@@ -12,6 +12,7 @@ of e2.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import re
@@ -107,20 +108,7 @@ class Graph:
             raise ValueError(f"{what} requires a subcubic graph (max degree {self.max_degree()})")
 
     def is_connected(self):
-        if self.n <= 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        q = deque([0])
-        cnt = 1
-        while q:
-            v = q.popleft()
-            for w in self.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    cnt += 1
-                    q.append(w)
-        return cnt == self.n
+        return len(_components(self.adj)) <= 1
 
     def neighborhoods(self, radius):
         """Per edge, the ascending EdgeIds of the other edges within edge
@@ -150,7 +138,9 @@ class Graph:
         return out
 
     def distance_masks(self, radius):
-        """Bitmask view of neighborhoods(radius), for the small-m bitset solvers.
+        """Bitmask view of neighborhoods(radius), for the small-m bitset code:
+        union_objective_key, solve_exact's class masks, exact_max_union and
+        max_induced_matching.
 
         Cached per radius; mask bit f of entry e is set iff f != e and
         d(e, f) <= radius.  Each mask is m bits wide, so large graphs should
@@ -163,6 +153,51 @@ class Graph:
         masks = tuple(sum(map(bit, near)) for near in self.neighborhoods(radius))
         self._mask_cache[radius] = masks
         return masks
+
+
+def _components(adj):
+    """Vertex lists of the components of a graph given by neighbor lists,
+    ordered by smallest vertex; each list starts with that vertex."""
+    seen = [False] * len(adj)
+    out = []
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        out.append(comp)
+    return out
+
+
+def _smallest_last(adj):
+    """Smallest-last removal order of a graph given by neighbor lists
+    (Matula & Beck 1983): repeatedly remove the vertex of least remaining
+    degree, lowest index first.  Heap entries (degree, vertex) go stale when
+    a neighbor is removed and are skipped when popped; O(m log m)."""
+    deg = [len(a) for a in adj]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed = [False] * len(adj)
+    order = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != deg[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return order
 
 
 def parse_edge_list(text):

@@ -31,14 +31,6 @@ class Component:
     kind: str
     reason: str | None = None
 
-    def degree_in(self, g, v):
-        """Degree of v counting only this component's edges."""
-        mine = set(self.edges)
-        return sum(1 for e in g.incident(v) if e in mine)
-
-    def leaves(self, g):
-        return tuple(v for v in self.vertices if self.degree_in(g, v) == 1)
-
     def middle(self, g):
         """The degree-2 vertex of a P3 component."""
         if self.kind != P3:

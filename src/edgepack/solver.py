@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .conflict import build_conflict_graph, color_exact
-from .graph import edge_distance
+from .graph import _smallest_last, edge_distance
 from .matching import local_search
 
 
@@ -150,7 +152,7 @@ class SolveResult:
     def sat(self):
         return self.status == "sat"
 
-    def to_json_dict(self, g, seq):
+    def to_json_dict(self, seq):
         classes = self.coloring.classes(len(seq)) if self.coloring else []
         return {
             "status": self.status,
@@ -161,39 +163,16 @@ class SolveResult:
         }
 
 
-class _Budget(Exception):
-    pass
-
-
-def _degeneracy_order(g):
-    """Edge order for assignment: reverse peel order of the line graph."""
-    masks1 = g.distance_masks(1)
-    alive = [True] * g.m
-    deg = [masks1[e].bit_count() for e in range(g.m)]
-    order = []
-    for _ in range(g.m):
-        best = min((e for e in range(g.m) if alive[e]), key=lambda e: (deg[e], e))
-        order.append(best)
-        alive[best] = False
-        nb = masks1[best]
-        while nb:
-            low = nb & -nb
-            f = low.bit_length() - 1
-            nb ^= low
-            if alive[f]:
-                deg[f] -= 1
-    order.reverse()
-    return order
-
-
 def solve_exact(g, seq, budget=50_000_000):
     """Decide S-packing edge-colorability by exhaustive backtracking.
 
-    Edges are assigned in degeneracy order of the line graph.  Classes that
-    share an s value are interchangeable, so a previously empty class may be
-    opened only in index order.  SAT answers carry a witness coloring; UNSAT
-    is only reported after full exhaustion; exceeding the node budget yields
-    UNKNOWN with the node count.
+    Edges are assigned in reverse smallest-last order of the line graph.
+    Classes that share an s value are interchangeable, so a previously empty
+    class may be opened only in index order.  SAT answers carry a witness
+    coloring; UNSAT is only reported after full exhaustion; exceeding the
+    node budget yields UNKNOWN with the node count.  The search keeps an
+    explicit stack: saved[pos] is the blocked mask that order[pos]'s class
+    had before order[pos] joined it.
     """
     if isinstance(seq, (tuple, list)):
         seq = PackingSequence(tuple(seq))
@@ -201,59 +180,59 @@ def solve_exact(g, seq, budget=50_000_000):
     m = g.m
     if m == 0:
         return SolveResult("sat", EdgeColoring(()), 0, "exact")
-    order = _degeneracy_order(g)
+    order = _smallest_last(g.neighborhoods(1))[::-1]
     masks = {s: g.distance_masks(s) for s in set(seq.values)}
     blocked = [0] * k
     size = [0] * k
     assignment = [-1] * m
+    saved = [0] * m
     assigned_mask = 0
     nodes = 0
-
-    def rec(pos, assigned_mask):
-        nonlocal nodes
-        if pos == m:
-            return True
+    pos = 0
+    start = 0
+    while pos < m:
         e = order[pos]
-        seen_empty_s = set()
-        for i in range(k):
+        bit = 1 << e
+        # of the empty classes that share an s value, only the first is tried
+        seen_empty_s = {seq[j] for j in range(start) if size[j] == 0}
+        for i in range(start, k):
             s = seq[i]
             if size[i] == 0:
                 if s in seen_empty_s:
                     continue
                 seen_empty_s.add(s)
-            if blocked[i] >> e & 1:
+            if blocked[i] & bit:
                 continue
             nodes += 1
             if nodes > budget:
-                raise _Budget
+                return SolveResult("unknown", None, nodes, "exact")
             old = blocked[i]
-            blocked[i] = old | masks[s][e] | (1 << e)
+            blocked[i] = old | masks[s][e] | bit
+            # dead end: an unassigned edge this blocks is now blocked in every class
+            newly = (blocked[i] ^ old) & ~(assigned_mask | bit)
+            if newly & reduce(and_, blocked):
+                blocked[i] = old
+                continue
             size[i] += 1
             assignment[e] = i
-            newly = (blocked[i] ^ old) & ~(assigned_mask | (1 << e))
-            dead = False
-            nb = newly
-            while nb:
-                low = nb & -nb
-                f = low.bit_length() - 1
-                nb ^= low
-                if all(blocked[j] >> f & 1 for j in range(k)):
-                    dead = True
-                    break
-            if not dead and rec(pos + 1, assigned_mask | (1 << e)):
-                return True
+            saved[pos] = old
+            assigned_mask |= bit
+            pos += 1
+            start = 0
+            break
+        else:
+            # every class tried: undo the previous position, resume after its class
+            if pos == 0:
+                return SolveResult("unsat", None, nodes, "exact")
+            pos -= 1
+            e = order[pos]
+            i = assignment[e]
             assignment[e] = -1
             size[i] -= 1
-            blocked[i] = old
-        return False
-
-    try:
-        sat = rec(0, 0)
-    except _Budget:
-        return SolveResult("unknown", None, nodes, "exact")
-    if sat:
-        return SolveResult("sat", EdgeColoring(tuple(assignment)), nodes, "exact")
-    return SolveResult("unsat", None, nodes, "exact")
+            blocked[i] = saved[pos]
+            assigned_mask ^= 1 << e
+            start = i + 1
+    return SolveResult("sat", EdgeColoring(tuple(assignment)), nodes, "exact")
 
 
 def assemble(pair, h_colors):

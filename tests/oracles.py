@@ -3,10 +3,12 @@
 Everything here recomputes from first principles: distances via an explicit
 line graph, colorability via plain |S|^m enumeration, maximum unions via
 enumeration of all disjoint matching pairs, the search objective and the
-literal move neighborhood via plain BFS over edge sets, and the coloring
-color_exact must find via chronological DSATUR recursion.  None of it calls
-back into the solver paths it is used to check; the only library name used
-is the Move record that apply_move consumes.
+literal move neighborhood via plain BFS over edge sets, the coloring
+color_exact must find via chronological DSATUR recursion, and the answer
+solve_exact must give via recursive backtracking over bitmasks built from
+the line graph.  None of it calls back into the solver paths it is used to
+check; the only library name used is the Move record that apply_move
+consumes.
 """
 
 from __future__ import annotations
@@ -239,6 +241,106 @@ def dsatur_reference(adj, k):
         if not backtrack(0):
             return "unsat", None, nodes
     return "sat", tuple(colors), nodes
+
+
+def _distance_masks(n, edges, radius):
+    """Per edge, the bitmask of the other edges within distance radius."""
+    dist = line_graph_distances(n, edges)
+    return [sum(1 << f for f in range(len(edges))
+                if f != e and dist.get((e, f), radius + 1) <= radius)
+            for e in range(len(edges))]
+
+
+def degeneracy_order_reference(n, edges):
+    """Reverse peel order of the line graph: each step removes the edge of
+    least remaining degree, lowest id among ties, found by a linear scan."""
+    m = len(edges)
+    masks1 = _distance_masks(n, edges, 1)
+    alive = [True] * m
+    deg = [masks1[e].bit_count() for e in range(m)]
+    order = []
+    for _ in range(m):
+        best = min((e for e in range(m) if alive[e]), key=lambda e: (deg[e], e))
+        order.append(best)
+        alive[best] = False
+        nb = masks1[best]
+        while nb:
+            low = nb & -nb
+            f = low.bit_length() - 1
+            nb ^= low
+            if alive[f]:
+                deg[f] -= 1
+    order.reverse()
+    return order
+
+
+class _Budget(Exception):
+    pass
+
+
+def solve_exact_reference(n, edges, svalues, budget=50_000_000):
+    """Recursive backtracking, one recursion level per assigned edge.
+
+    The literal reference for the library's solve_exact: edges in
+    degeneracy_order_reference order, classes tried in index order with at
+    most one empty class per s value, a branch cut as soon as an unassigned
+    edge is blocked in every class, one node per class tried.  edges must be
+    in EdgeId order.  Returns (status, nodes, assignment or None).
+    """
+    k = len(svalues)
+    m = len(edges)
+    if m == 0:
+        return "sat", 0, ()
+    order = degeneracy_order_reference(n, edges)
+    masks = {s: _distance_masks(n, edges, s) for s in set(svalues)}
+    blocked = [0] * k
+    size = [0] * k
+    assignment = [-1] * m
+    nodes = 0
+
+    def rec(pos, assigned_mask):
+        nonlocal nodes
+        if pos == m:
+            return True
+        e = order[pos]
+        seen_empty_s = set()
+        for i in range(k):
+            s = svalues[i]
+            if size[i] == 0:
+                if s in seen_empty_s:
+                    continue
+                seen_empty_s.add(s)
+            if blocked[i] >> e & 1:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            old = blocked[i]
+            blocked[i] = old | masks[s][e] | (1 << e)
+            size[i] += 1
+            assignment[e] = i
+            newly = (blocked[i] ^ old) & ~(assigned_mask | (1 << e))
+            dead = False
+            nb = newly
+            while nb:
+                low = nb & -nb
+                f = low.bit_length() - 1
+                nb ^= low
+                if all(blocked[j] >> f & 1 for j in range(k)):
+                    dead = True
+                    break
+            if not dead and rec(pos + 1, assigned_mask | (1 << e)):
+                return True
+            assignment[e] = -1
+            size[i] -= 1
+            blocked[i] = old
+        return False
+
+    try:
+        sat = rec(0, 0)
+    except _Budget:
+        return "unknown", nodes, None
+    return ("sat", nodes, tuple(assignment)) if sat else ("unsat", nodes, None)
 
 
 def brute_max_induced_matching(n, edges):

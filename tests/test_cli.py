@@ -165,6 +165,19 @@ def test_batch_generated_family(capsys):
     assert doc["graphs"] == 3 and doc["counts"]["sat"] == 3
 
 
+def test_batch_checks_count_and_n_before_generating(capsys):
+    for count in ("0", "1"):
+        code, out, err = run_cli(capsys, "batch", "--family", "random_cubic",
+                                 "--count", count)
+        assert (code, out) == (2, "")
+        assert err == "error: --family random_cubic needs --n\n"
+    code, out, err = run_cli(capsys, "batch", "--family", "petersen", "--count", "-1")
+    assert (code, out, err) == (2, "", "error: --count must be >= 0\n")
+    code, out, _ = run_cli(capsys, "batch", "--family", "random_cubic",
+                           "--n", "10", "--count", "0")
+    assert code == 0 and json.loads(out)["graphs"] == 0
+
+
 def test_batch_tsv_format(capsys):
     code, out, _ = run_cli(capsys, "batch", "--family", "random_cubic",
                            "--n", "10", "--seed", "0", "--count", "2",

@@ -11,7 +11,9 @@ from edgepack import (EdgeColoring, Graph, PackingSequence, SEQ_12_24,
                       exact_max_union, generate_named, greedy_init,
                       local_search, max_induced_matching, parse_edge_list,
                       random_cubic, solve_exact, solve_pipeline, verify)
-from oracles import enumerate_packing_colorable, sample_subcubic_instances
+from edgepack.graph import _smallest_last
+from oracles import (degeneracy_order_reference, enumerate_packing_colorable,
+                     sample_subcubic_instances, solve_exact_reference)
 
 
 # -- PackingSequence -------------------------------------------------------------
@@ -121,6 +123,40 @@ def test_exact_agrees_with_enumeration_on_tight_sequence():
         assert got.status == ("sat" if want else "unsat"), edges
         unsat += not want
     assert unsat > 0
+
+
+def test_solve_exact_matches_recursive_reference():
+    graphs = [generate_named(name) for name in ("subdivided_k33", "petersen", "k4", "c7")]
+    graphs += [Graph(edges, n=n) for n, edges in
+               sample_subcubic_instances(60, m_max=12, seed=23)]
+    # disconnected graphs, with isolated vertices on top
+    pieces = sample_subcubic_instances(40, m_max=7, seed=29)
+    for (n1, e1), (n2, e2) in zip(pieces[::2], pieces[1::2]):
+        shifted = [(u + n1, v + n1) for u, v in e2]
+        graphs.append(Graph(list(e1) + shifted, n=n1 + n2 + len(graphs) % 3))
+    seqs = [PackingSequence.parse(s) for s in ("1^2,2^3", "1^2,2^4", "1^3", "1,2^2")]
+    statuses = set()
+    for g in graphs:
+        order = _smallest_last(g.neighborhoods(1))[::-1]
+        assert order == degeneracy_order_reference(g.n, g.edges)
+        for seq in seqs:
+            for budget in (50_000_000, 4):
+                got = solve_exact(g, seq, budget=budget)
+                want = solve_exact_reference(g.n, g.edges, seq.values, budget)
+                assignment = got.coloring.assignment if got.coloring else None
+                assert (got.status, got.nodes, assignment) == want, (g.edges, seq, budget)
+                statuses.add(got.status)
+    assert statuses == {"sat", "unsat", "unknown"}
+    assert any(not g.is_connected() and min(map(len, g.adj)) == 0 for g in graphs)
+
+
+def test_solve_exact_long_path_and_odd_cycle_need_no_recursion():
+    path = Graph([(i, i + 1) for i in range(3000)])
+    res = solve_exact(path, PackingSequence.parse("1^2"))
+    assert res.status == "sat"
+    assert verify(path, PackingSequence.parse("1^2"), res.coloring) == []
+    res = solve_exact(generate_named("c1501"), PackingSequence.parse("1^2"))
+    assert (res.status, res.nodes) == ("unsat", 1500)
 
 
 def test_solve_exact_empty_graph():
