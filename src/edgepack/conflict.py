@@ -1,4 +1,5 @@
-"""The conflict graph H on leftover edges, and its exact k-coloring.
+"""The conflict graph H on leftover edges, its exact k-coloring, and the
+budgeted 4-coloring of its 4-core that solve_pipeline tries first.
 
 H has one vertex per edge of G - M1 - M2, with two vertices adjacent when
 the corresponding edges are at distance <= 2 in G.  A proper k-coloring of H
@@ -12,9 +13,10 @@ assume them.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
-from .graph import _components
+from .graph import _components, _smallest_last
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,11 @@ class ConflictGraph:
 
 @dataclass(frozen=True)
 class ColoringResult:
-    """Outcome of color_exact: status "sat" or "unsat" plus search effort."""
+    """Outcome of a coloring: status "sat" or "unsat" plus search effort.
+
+    color_exact always decides; the peel-then-color tier of solve_pipeline
+    may also answer "unknown" when its node budget runs out.
+    """
 
     status: str
     colors: tuple | None
@@ -88,8 +94,68 @@ def color_exact(h, k):
     return ColoringResult("sat", tuple(colors), nodes)
 
 
-def _dsatur(adj, comp, k, colors):
-    """Color one component of H in place; returns (colorable, nodes).
+# Backtracking budget of _peel_color: a core component of c vertices may take
+# c + _CORE_BUDGET DSATUR nodes (c suffice when nothing is undone).  On greedy
+# pairs of ~2,000 random cubic graphs (n = 10..10^4, cores up to 6,364
+# vertices) at most 3,910 extra nodes were needed, except on one 96-vertex
+# core still unresolved after 200,000; past the budget the pipeline moves on
+# to its next pair rather than search on.
+_CORE_BUDGET = 20_000
+
+
+def _peel(adj):
+    """(order, start): the smallest-last order of a graph given by neighbor
+    lists, and the index in it where the 4-core begins.
+
+    The 4-core is what remains after repeatedly deleting vertices of degree
+    < 4; in smallest-last order it is the suffix from the first vertex
+    removed with at least 4 neighbors left (Matula & Beck 1983).
+    """
+    order = _smallest_last(adj)
+    pos = [0] * len(adj)
+    for i, v in enumerate(order):
+        pos[v] = i
+    start = next((i for i, v in enumerate(order)
+                  if sum(pos[w] > i for w in adj[v]) >= 4), len(order))
+    return order, start
+
+
+def _peel_color(h):
+    """4-coloring of H that searches only H's 4-core.
+
+    A vertex with fewer than 4 neighbors can always be colored last, so H is
+    4-colorable exactly when its 4-core is.  Each core component is colored
+    by _dsatur within its budget; the other vertices are then colored
+    greedily in reverse removal order, each seeing at most 3 colored
+    neighbors.  Returns a ColoringResult whose status is "sat", "unsat" (a
+    core component is not 4-colorable, found by exhaustion) or "unknown" (a
+    core component ran out of budget).
+    """
+    order, start = _peel(h.adj)
+    core = order[start:]
+    local = {v: i for i, v in enumerate(core)}
+    core_adj = [[local[w] for w in h.adj[v] if w in local] for v in core]
+    core_colors = [-1] * len(core)
+    nodes = 0
+    for comp in _components(core_adj):
+        colorable, spent = _dsatur(core_adj, comp, 4, core_colors,
+                                   len(comp) + _CORE_BUDGET)
+        nodes += spent
+        if not colorable:
+            return ColoringResult("unsat" if colorable is False else "unknown",
+                                  None, nodes)
+    colors = [-1] * h.n
+    for v, c in zip(core, core_colors):
+        colors[v] = c
+    for v in reversed(order[:start]):
+        taken = {colors[w] for w in h.adj[v]}
+        colors[v] = next(c for c in range(4) if c not in taken)
+    return ColoringResult("sat", tuple(colors), nodes)
+
+
+def _dsatur(adj, comp, k, colors, budget=math.inf):
+    """Color one component of H in place; returns (colorable, nodes), with
+    colorable None when the search gives up after budget nodes.
 
     The search runs on an explicit stack of frames, one per colored vertex.
     A vertex is picked by the key (most distinct neighbor colors, highest
@@ -147,6 +213,8 @@ def _dsatur(adj, comp, k, colors):
             c += 1
         if c < limit:
             nodes += 1
+            if nodes > budget:
+                return None, nodes
             colors[v] = c
             for w in adj[v]:
                 if colors[w] < 0 and c not in sat[w]:

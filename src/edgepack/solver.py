@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .conflict import build_conflict_graph, color_exact
+from .conflict import _peel_color, build_conflict_graph, color_exact
 from .graph import _smallest_last, edge_distance
-from .matching import local_search
+from .matching import greedy_init, local_search
 
 
 @dataclass(frozen=True)
@@ -239,50 +239,66 @@ def assemble(pair, h_colors):
     """Total (1^2,2^4)-coloring from a pair and a proper 4-coloring of H.
 
     m1 is class 0, m2 is class 1, and the four H color classes become the
-    induced-matching classes 2..5.  Raises ValueError if h_colors is not a
-    proper coloring of the conflict graph of the pair.
+    induced-matching classes 2..5; h_colors[i] colors the i-th leftover edge
+    in ascending EdgeId order, as H numbers its vertices.  Raises ValueError
+    if h_colors is not a proper coloring of the conflict graph of the pair.
     """
     g = pair.graph
-    h = build_conflict_graph(g, pair)
+    union = pair.m1 | pair.m2
+    left = [e for e in range(g.m) if e not in union]
     colors = tuple(h_colors)
-    if len(colors) != h.n:
-        raise ValueError(f"expected {h.n} H colors, got {len(colors)}")
+    if len(colors) != len(left):
+        raise ValueError(f"expected {len(left)} H colors, got {len(colors)}")
     if any(not 0 <= c < 4 for c in colors):
         raise ValueError("H colors must lie in 0..3")
-    for i in range(h.n):
-        for j in h.adj[i]:
-            if j > i and colors[i] == colors[j]:
-                raise ValueError(f"H coloring is improper on vertices {i}, {j}")
     assignment = [-1] * g.m
     for e in pair.m1:
         assignment[e] = 0
     for e in pair.m2:
         assignment[e] = 1
-    for i, e in enumerate(h.vertices):
-        assignment[e] = 2 + colors[i]
+    for e, c in zip(left, colors):
+        assignment[e] = 2 + c
+    # an edge sharing class 2 + c with a leftover edge is a leftover edge too,
+    # so a same-class f within distance 2 of e is an edge of H
+    near = g.neighborhoods(2)
+    for i, e in enumerate(left):
+        for f in near[e]:
+            if f > e and assignment[f] == assignment[e]:
+                raise ValueError(f"H coloring is improper on vertices {i}, {left.index(f)}")
     return EdgeColoring(tuple(assignment))
 
 
 def solve_pipeline(g, seed, retries=8, exact_budget=50_000_000):
-    """Constructive (1^2,2^4) solver: local search, then 4-color H, then assemble.
+    """Constructive (1^2,2^4) solver: a matching pair, a 4-coloring of its
+    conflict graph H, then assemble and verify.
 
-    Retries with fresh seeds when H is not 4-colorable for the pair found; if
-    every retry fails, falls back to solve_exact.  Any coloring returned has
-    passed verify.  Status "fail" means the exact fallback ran out of budget.
+    Three tiers, each tried only when the one before it fails:
+
+    1. "greedy": greedy_init(g, seed + a) for a in range(retries), with H
+       colored by searching only its 4-core (_peel_color, node-budgeted);
+    2. "pipeline": the paper's route, local_search(g, seed + a) to a
+       switch-stable pair for a in range(retries), with H colored exactly;
+    3. "fallback": solve_exact on g.
+
+    SolveResult.method names the tier that answered, and nodes sums the
+    coloring and exact-search nodes of every tier tried.  Any coloring
+    returned has passed verify.  Status "fail" means the exact fallback ran
+    out of budget.  Any subcubic graph is accepted, connected or not.
     """
     g.require_subcubic("solve_pipeline")
-    if not g.is_connected():
-        raise ValueError("solve_pipeline requires a connected graph")
     nodes = 0
-    for attempt in range(retries):
-        result = local_search(g, seed + attempt)
-        h = build_conflict_graph(g, result.pair)
-        col = color_exact(h, 4)
-        nodes += col.nodes
-        if col.sat:
-            coloring = assemble(result.pair, col.colors)
-            if not verify(g, SEQ_12_24, coloring):
-                return SolveResult("sat", coloring, nodes, "pipeline")
+    tiers = (("greedy", greedy_init, _peel_color),
+             ("pipeline", lambda g, s: local_search(g, s).pair,
+              lambda h: color_exact(h, 4)))
+    for method, find_pair, color in tiers:
+        for attempt in range(retries):
+            pair = find_pair(g, seed + attempt)
+            col = color(build_conflict_graph(g, pair))
+            nodes += col.nodes
+            if col.sat:
+                coloring = assemble(pair, col.colors)
+                if not verify(g, SEQ_12_24, coloring):
+                    return SolveResult("sat", coloring, nodes, method)
     fb = solve_exact(g, SEQ_12_24, budget=exact_budget)
     nodes += fb.nodes
     if fb.status == "sat":

@@ -243,6 +243,18 @@ def dsatur_reference(adj, k):
     return "sat", tuple(colors), nodes
 
 
+def k_core_reference(adj, k):
+    """The k-core by its definition: delete a vertex of degree < k while one
+    exists.  adj is a list of neighbor lists; returns the set of vertices
+    left."""
+    alive = set(range(len(adj)))
+    while True:
+        low = [v for v in alive if sum(w in alive for w in adj[v]) < k]
+        if not low:
+            return alive
+        alive.difference_update(low)
+
+
 def _distance_masks(n, edges, radius):
     """Per edge, the bitmask of the other edges within distance radius."""
     dist = line_graph_distances(n, edges)

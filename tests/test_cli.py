@@ -37,7 +37,7 @@ def test_solve_pipeline_method(capsys):
                            "--sequence", "1^2,2^4", "--method", "pipeline")
     assert code == 0
     doc = json.loads(out)
-    assert doc["method"] in ("pipeline", "fallback")
+    assert doc["method"] == "greedy"
 
 
 def test_solve_pipeline_rejects_other_sequences(capsys):

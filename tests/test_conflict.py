@@ -10,7 +10,9 @@ import pytest
 from edgepack import (ConflictGraph, Graph, MatchingPair, build_conflict_graph,
                       color_exact, edge_distance, exact_max_union,
                       generate_named, greedy_init, random_cubic)
-from oracles import brute_k_colorable, dsatur_reference, triangle_count
+from edgepack import conflict
+from oracles import (brute_k_colorable, dsatur_reference, k_core_reference,
+                     triangle_count)
 
 
 def _complete_conflict(n):
@@ -163,6 +165,39 @@ def test_color_exact_matches_chronological_reference_near_the_threshold():
         h = _random_conflict(rng, n, 7.0 / (n - 1))
         skipped += _same_as_reference(h, 4)[1]
     assert skipped > 0
+
+
+def test_peel_color_agrees_with_k_core_and_color_exact(monkeypatch):
+    rng = random.Random(53)
+    hs = []
+    for n in range(10, 201, 10):
+        for seed in range(4):
+            g = random_cubic(n, 300 + seed)
+            hs.append(build_conflict_graph(g, greedy_init(g, seed)))
+    hs += [_random_conflict(rng, rng.randint(1, 14), rng.choice((0.3, 0.5, 0.7)))
+           for _ in range(300)]
+    statuses = set()
+    for h in hs:
+        order, start = conflict._peel(h.adj)
+        assert sorted(order) == list(range(h.n))
+        core = set(order[start:])
+        assert core == k_core_reference(h.adj, 4)
+        res = conflict._peel_color(h)
+        statuses.add((res.status, bool(core)))
+        if res.status != "unknown":
+            assert res.status == color_exact(h, 4).status
+        if res.sat:
+            assert all(0 <= c < 4 for c in res.colors)
+            assert all(res.colors[i] != res.colors[j]
+                       for i in range(h.n) for j in h.adj[i])
+            assert res.nodes >= len(core)
+    assert statuses >= {("sat", False), ("sat", True), ("unsat", True)}
+    # with no node allowed, a non-empty core is "unknown", never "unsat"
+    monkeypatch.setattr(conflict, "_CORE_BUDGET", -10**9)
+    for h in hs:
+        order, start = conflict._peel(h.adj)
+        res = conflict._peel_color(h)
+        assert res.status == ("unknown" if start < h.n else "sat")
 
 
 def test_color_exact_long_path_and_odd_cycle_need_no_recursion():

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from edgepack import (EdgeColoring, Graph, PackingSequence, SEQ_12_24,
-                      assemble, build_conflict_graph, color_exact,
+from edgepack import (EdgeColoring, Graph, MatchingPair, PackingSequence,
+                      SEQ_12_24, assemble, build_conflict_graph, color_exact,
                       exact_max_union, generate_named, greedy_init,
                       local_search, max_induced_matching, parse_edge_list,
                       random_cubic, solve_exact, solve_pipeline, verify)
@@ -209,8 +209,22 @@ def test_assemble_subdivided_k33_uses_all_classes():
 def test_assemble_rejects_improper_coloring():
     g = generate_named("subdivided_k33")
     pair, _ = exact_max_union(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="improper on vertices 0, 1$"):
         assemble(pair, (0, 0, 0, 0))   # H is K4: two equal colors collide
+    # assemble checks without H; it must name the first clash H shows
+    rng = random.Random(17)
+    for seed in range(20):
+        g = random_cubic(10 + 2 * seed, seed)
+        pair = greedy_init(g, seed)
+        h = build_conflict_graph(g, pair)
+        colors = [rng.randrange(4) for _ in range(h.n)]
+        clash = next(((i, j) for i in range(h.n) for j in h.adj[i]
+                      if j > i and colors[i] == colors[j]), None)
+        if clash is None:
+            assert verify(g, SEQ_12_24, assemble(pair, colors)) == []
+        else:
+            with pytest.raises(ValueError, match=f"vertices {clash[0]}, {clash[1]}$"):
+                assemble(pair, colors)
 
 
 def test_greedy_colouring_tier_at_scale():
@@ -227,7 +241,7 @@ def test_greedy_colouring_tier_at_scale():
 def test_pipeline_c6_uses_only_matchings():
     g = generate_named("c6")
     res = solve_pipeline(g, 0)
-    assert res.status == "sat" and res.method == "pipeline"
+    assert res.status == "sat" and res.method == "greedy"
     classes = res.coloring.classes(6)
     assert all(not classes[i] for i in range(2, 6))
 
@@ -247,9 +261,38 @@ def test_pipeline_random_cubics_verified():
         assert verify(g, SEQ_12_24, res.coloring) == []
 
 
-def test_pipeline_requires_connected_subcubic():
-    with pytest.raises(ValueError):
-        solve_pipeline(parse_edge_list("0 1\n2 3"), 0)
+def test_pipeline_escalates_past_a_failing_greedy_tier(monkeypatch):
+    # with the empty pair, H is the square of the line graph, which holds a
+    # K5 (an edge and its four neighbors), so no greedy attempt can answer
+    monkeypatch.setattr("edgepack.solver.greedy_init",
+                        lambda g, seed: MatchingPair(g, (), ()))
+    for seed in range(3):
+        g = random_cubic(16 + 4 * seed, seed)
+        res = solve_pipeline(g, seed)
+        assert (res.status, res.method) == ("sat", "pipeline")
+        assert verify(g, SEQ_12_24, res.coloring) == []
+
+
+def test_pipeline_greedy_tier_at_scale():
+    for seed in range(2):
+        g = random_cubic(3000, seed)
+        res = solve_pipeline(g, seed)
+        assert (res.status, res.method) == ("sat", "greedy")
+        assert verify(g, SEQ_12_24, res.coloring) == []
+
+
+def test_pipeline_accepts_components_requires_subcubic():
+    petersen = generate_named("petersen")
+    k4_and_petersen = Graph(list(generate_named("k4").edges)
+                            + [(u + 4, v + 4) for u, v in petersen.edges])
+    isolated_vertex = Graph(petersen.edges, n=11)
+    for g in (parse_edge_list("0 1\n2 3"), isolated_vertex, k4_and_petersen,
+              Graph([], n=3)):
+        res = solve_pipeline(g, 0)
+        assert res.status == "sat", g
+        assert verify(g, SEQ_12_24, res.coloring) == [], g
+    with pytest.raises(ValueError, match="subcubic"):
+        solve_pipeline(Graph([(0, i) for i in range(1, 5)]), 0)
 
 
 def test_pipeline_exact_agreement():
