@@ -1,8 +1,9 @@
 """Command-line interface: generate, solve, verify, audit, and batch-run.
 
 Exit codes: 0 = SAT / valid / audit-clean, 1 = UNSAT / invalid / violations,
-2 = usage or I/O error, 3 = budget exhausted (UNKNOWN / FAIL), 4 = internal
-error (a defect in edgepack, never a verdict on the input).  All output is
+2 = usage or I/O error, 3 = budget exhausted (UNKNOWN / FAIL, or an audit
+whose search stopped short of a switch-stable pair), 4 = internal error (a
+defect in edgepack, never a verdict on the input).  All output is
 JSON (or TSV with --format tsv) on stdout; given identical arguments the
 output is byte-identical across runs.
 """
@@ -170,6 +171,8 @@ def _cmd_audit(args):
         payload["charges"] = None
         clean = False
     _emit(payload, args.format)
+    if not result.stable:
+        return EXIT_BUDGET
     return EXIT_OK if clean else EXIT_NEGATIVE
 
 
@@ -293,6 +296,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise CliError("--budget must be >= 0")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

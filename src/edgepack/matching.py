@@ -14,6 +14,14 @@ scanner that skips only moves that provably cannot improve the objective
 and swap or addition combinations ruled out because an earlier enumeration
 stage came up empty).  The test suite cross-checks it against a literal
 enumeration of every admissible move.
+
+Each scan builds a fresh _State; nothing is updated in place between scans.
+Candidates come from two per-vertex tables built in O(n + m): free0 (which
+matchings leave the vertex uncovered) and spare (its leftover edges).  A
+vertex's freedom under a move is read from free0 plus the bits its removals
+free, exchanged at the ends of the swapped component, with no per-move
+closure.  The pieces a removal cuts from a path or cycle are found by
+position arithmetic on the component's walk order.
 """
 
 from __future__ import annotations
@@ -312,24 +320,31 @@ class _UComp:
 
 
 class _State:
-    """Scan-time view of a pair: labels, cover arrays, union components."""
+    """Scan-time view of a pair, built fresh for every scan: labels, cover
+    arrays, union components, and two per-vertex tables.
+
+    free0[v] has bit 1 set when M1 leaves v uncovered and bit 2 when M2 does;
+    spare[v] lists the leftover edges at v.  pieces caches the pieces each
+    single removal leaves, for the duration of the scan.
+    """
 
     __slots__ = ("g", "pair", "label", "cover1", "cover2", "u_edges", "u_mask",
-                 "comps", "comp_of", "comp_pos", "end_comp", "counter")
+                 "comps", "comp_of", "comp_pos", "end_comp", "counter",
+                 "free0", "spare", "pieces")
 
     def __init__(self, pair, counter):
         g = pair.graph
         self.g = g
         self.pair = pair
         self.counter = counter
-        self.label = _label(g, pair.m1, pair.m2)
+        self.label = label = _label(g, pair.m1, pair.m2)
         self.cover1 = _cover(g, pair.m1)
         self.cover2 = _cover(g, pair.m2)
         self.u_edges = sorted(pair.union())
         self.u_mask = 0
         for e in self.u_edges:
             self.u_mask |= 1 << e
-        self.comps = _components_from_labels(g, self.label)
+        self.comps = _components_from_labels(g, label)
         self.comp_of = {}
         self.comp_pos = {}
         self.end_comp = {}
@@ -339,101 +354,111 @@ class _State:
                 self.comp_pos[e] = pos
             for v in c.ends:
                 self.end_comp[v] = i
+        self.free0 = [(1 if c1 < 0 else 0) | (2 if c2 < 0 else 0)
+                      for c1, c2 in zip(self.cover1, self.cover2)]
+        self.spare = spare = [[] for _ in range(g.n)]
+        for e, (u, v) in enumerate(g.edges):
+            if not label[e]:
+                spare[u].append(e)
+                spare[v].append(e)
+        self.pieces = {}
 
 
-def _pieces_after_removal(state, removed_ids):
-    """Path pieces of the affected union components once removed_ids are gone.
+def _pieces(comp, gone):
+    """Path pieces (rep, ends) of a path or cycle component once the edges at
+    the ascending positions gone are removed.
 
-    Each piece is (rep, ends).  Pieces of a path or cycle are always paths.
+    The kept edges between consecutive removed positions form one piece; in a
+    cycle the piece after the last removed position wraps through position 0.
     """
-    by_comp = {}
-    for x in removed_ids:
-        by_comp.setdefault(state.comp_of[x], []).append(x)
+    edges, verts = comp.edges, comp.verts
+    k = len(edges)
+    if comp.is_cycle:
+        bounds = zip(gone, gone[1:] + (gone[0] + k,))
+    else:
+        cuts = (-1, *gone, k)
+        bounds = zip(cuts, cuts[1:])
     pieces = []
-    for ci, removed in by_comp.items():
-        comp = state.comps[ci]
-        k = len(comp.edges)
-        gone = {state.comp_pos[x] for x in removed}
-        if comp.is_cycle:
-            # walk runs of kept edges cyclically, starting after a removed one
-            start = min(gone)
-            order = [(start + step) % k for step in range(1, k + 1)]
+    for lo, hi in bounds:
+        # kept positions lo + 1 .. hi - 1, taken mod k
+        if hi - lo < 2:
+            continue
+        if hi <= k:
+            rep = min(edges[lo + 1:hi])
         else:
-            order = range(k)
-        run = []
-        for idx in order:
-            if idx in gone:
-                if run:
-                    pieces.append(_piece_from_run(comp, run))
-                    run = []
-            else:
-                run.append(idx)
-        if run:
-            pieces.append(_piece_from_run(comp, run))
+            rep = min(edges[lo + 1:] + edges[:hi - k])
+        # a cycle's verts end with verts[k] == verts[0]
+        pieces.append((rep, (verts[lo + 1], verts[hi - k if hi > k else hi])))
     return pieces
 
 
-def _piece_from_run(comp, run):
-    # verts[i], verts[i + 1] are the ends of edges[i], also across a cycle's
-    # closing edge, so a run that wraps needs no index arithmetic
-    ends = (comp.verts[run[0]], comp.verts[run[-1] + 1])
-    return min(comp.edges[i] for i in run), ends
+def _single_pieces(state, x):
+    pieces = state.pieces.get(x)
+    if pieces is None:
+        pieces = _pieces(state.comps[state.comp_of[x]], (state.comp_pos[x],))
+        state.pieces[x] = pieces
+    return pieces
 
 
-def _swap_candidates(state, removed_ids, base_sites):
-    """Components worth swapping for this removal set: the split pieces plus
-    unaffected path components whose endpoint can take an addition toward a
-    newly freed site."""
-    g = state.g
-    out = {}
-    for rep, ends in _pieces_after_removal(state, removed_ids):
-        out[rep] = ends
-    affected = {state.comp_of[x] for x in removed_ids}
+def _swap_candidates(state, removals, pieces, base_sites):
+    """Components worth swapping for this removal set, as ascending (rep,
+    ends): the split pieces plus unaffected path components whose endpoint a
+    leftover edge joins to a newly freed site.  (A removed edge cannot join
+    one: its far end lies in its own, affected, component.)"""
+    edges = state.g.edges
+    end_comp = state.end_comp
+    out = dict(pieces)
+    affected = {state.comp_of[x] for x, _ in removals}
     for s0 in base_sites:
-        for e in g.incident(s0):
-            if state.label[e] != 0 and e not in removed_ids:
-                continue
-            w = g.other_end(e, s0)
-            ci = state.end_comp.get(w)
-            if ci is None or ci in affected:
-                continue
-            comp = state.comps[ci]
-            out[comp.rep] = comp.ends
+        for e in state.spare[s0]:
+            u, v = edges[e]
+            ci = end_comp.get(v if u == s0 else u)
+            if ci is not None and ci not in affected:
+                comp = state.comps[ci]
+                out[comp.rep] = comp.ends
     return sorted(out.items())
 
 
-def _free_fn(state, removals, swap_ends):
-    freed1 = set()
-    freed2 = set()
+_SWAP_BITS = (0, 2, 1, 3)
+
+
+def _addition_candidates(state, sites, removals, ends):
+    """Ascending (edge, tag) additions that fit once the removals are made and
+    the component with the given ends has its labels exchanged.
+
+    A vertex is free for tag t when bit t of its freedom is set: free0[v],
+    plus the tag of each removal at v, with bits 1 and 2 exchanged at the
+    swap ends.  The candidate edges are the removed ones and the leftover
+    edges at the sites.
+    """
+    edges = state.g.edges
+    free0 = state.free0
+    spare = state.spare
+    freedom = {}
     for x, t in removals:
-        (freed1 if t == 1 else freed2).update(state.g.endpoints(x))
-    ends = set(swap_ends)
-    cover1, cover2 = state.cover1, state.cover2
-
-    def free(v, t):
-        f1 = cover1[v] < 0 or v in freed1
-        f2 = cover2[v] < 0 or v in freed2
-        if v in ends:
-            f1, f2 = f2, f1
-        return f1 if t == 1 else f2
-
-    return free
-
-
-def _addition_candidates(state, sites, removed_ids, free):
-    g = state.g
-    label = state.label
-    out = set()
+        for v in edges[x]:
+            freedom[v] = freedom.get(v, free0[v]) | t
+    for v in ends:
+        freedom[v] = _SWAP_BITS[freedom.get(v, free0[v])]
+    # every site is a removal endpoint or a swap end, so it has an entry
+    fits = {}
+    for x, _ in removals:
+        u, v = edges[x]
+        fits[x] = freedom[u] & freedom[v]
     for s0 in sites:
-        for e in g.incident(s0):
-            if label[e] != 0 and e not in removed_ids:
-                continue
-            u, v = g.endpoints(e)
-            if free(u, 1) and free(v, 1):
-                out.add((e, 1))
-            if free(u, 2) and free(v, 2):
-                out.add((e, 2))
-    return sorted(out)
+        here = freedom[s0]
+        for e in spare[s0]:
+            u, v = edges[e]
+            w = v if u == s0 else u
+            fits[e] = here & freedom.get(w, free0[w])
+    out = []
+    for e in sorted(fits):
+        both = fits[e]
+        if both & 1:
+            out.append((e, 1))
+        if both & 2:
+            out.append((e, 2))
+    return out
 
 
 def _eval_mask(state, mask, memo):
@@ -457,17 +482,24 @@ def _find_improving_move(state, r, s, a, memo):
     admit some addition candidate on their own, and pairs linked by a
     potential cross addition between their freed endpoints.  Any other pair
     only reaches unions already examined by the one-removal stage.
+
+    Two additions clash when they are the same edge, or share an endpoint
+    and a tag; that check is made inline, _compatible serves the trios.
     """
     g = state.g
-    cur_key = _eval_mask(state, state.u_mask, memo)
+    edges = g.edges
+    label = state.label
+    u_mask = state.u_mask
+    tick = state.counter.tick
+    cur_key = _eval_mask(state, u_mask, memo)
 
     if a >= 1:
         cover1, cover2 = state.cover1, state.cover2
         for e in range(g.m):
-            if state.label[e]:
+            if label[e]:
                 continue
-            u, v = g.endpoints(e)
-            state.counter.tick()
+            u, v = edges[e]
+            tick()
             if cover1[u] < 0 and cover1[v] < 0:
                 return Move((), None, ((e, 1),))
             if cover2[u] < 0 and cover2[v] < 0:
@@ -477,46 +509,54 @@ def _find_improving_move(state, r, s, a, memo):
         for comp in state.comps:
             if comp.is_cycle:
                 continue
-            state.counter.tick()
-            free = _free_fn(state, (), comp.ends)
-            cands = _addition_candidates(state, sorted(set(comp.ends)), frozenset(), free)
+            tick()
+            cands = _addition_candidates(state, comp.ends, (), comp.ends)
             if cands:
                 return Move((), comp.rep, (cands[0],))
 
     active = set()
     if r >= 1:
         for x in state.u_edges:
-            removals = ((x, state.label[x]),)
-            removed_ids = frozenset((x,))
-            base_sites = sorted(set(g.endpoints(x)))
-            swaps = [None]
+            removals = ((x, label[x]),)
+            base_sites = edges[x]
+            swaps = [(None, ())]
             if s >= 1:
-                swaps += _swap_candidates(state, removed_ids, base_sites)
-            for sw in swaps:
-                rep, ends = (None, ()) if sw is None else sw
-                state.counter.tick()
-                free = _free_fn(state, removals, ends)
-                sites = sorted(set(base_sites) | set(ends))
-                cands = _addition_candidates(state, sites, removed_ids, free)
+                swaps += _swap_candidates(state, removals, _single_pieces(state, x),
+                                          base_sites)
+            for rep, ends in swaps:
+                tick()
+                cands = _addition_candidates(state, base_sites + ends, removals, ends)
                 if any(c[0] != x for c in cands):
                     active.add(x)
                 n = len(cands)
                 if a >= 2:
                     for i in range(n):
+                        e1, t1 = cands[i]
+                        u1, v1 = edges[e1]
                         for j in range(i + 1, n):
-                            state.counter.tick()
-                            duo = (cands[i], cands[j])
-                            if _compatible(g, duo):
-                                return Move(removals, rep, duo)
+                            tick()
+                            e2, t2 = cands[j]
+                            if e1 == e2:
+                                continue
+                            if t1 == t2:
+                                u2, v2 = edges[e2]
+                                if u2 == u1 or u2 == v1 or v2 == u1 or v2 == v1:
+                                    continue
+                            return Move(removals, rep, (cands[i], cands[j]))
                 if a >= 1:
+                    base_mask = u_mask & ~(1 << x)
                     for cand in cands:
-                        nm = (state.u_mask & ~(1 << x)) | (1 << cand[0])
-                        if nm == state.u_mask:
+                        nm = base_mask | (1 << cand[0])
+                        if nm == u_mask:
                             continue
-                        if _eval_mask(state, nm, memo) < cur_key:
+                        key = memo.get(nm)
+                        if key is None:
+                            key = _eval_mask(state, nm, memo)
+                        if key < cur_key:
                             return Move(removals, rep, (cand,))
 
     if r >= 2 and a >= 2:
+        cover1, cover2 = state.cover1, state.cover2
         pairs = set()
         # any pair with an active removal: the partner may contribute its own
         # additions, or merely cut a component so that a swapped piece flips
@@ -528,12 +568,11 @@ def _find_improving_move(state, r, s, a, memo):
         # cross pairs: an available edge from an endpoint of x1 to an
         # endpoint of x2 may become addable only when both are removed
         for x1 in state.u_edges:
-            for w1 in g.endpoints(x1):
-                for e in g.incident(w1):
-                    if state.label[e] != 0 and e != x1:
-                        continue
-                    z = g.other_end(e, w1)
-                    for x2 in (state.cover1[z], state.cover2[z]):
+            for w1 in edges[x1]:
+                for e in (x1, *state.spare[w1]):
+                    u, v = edges[e]
+                    z = v if u == w1 else u
+                    for x2 in (cover1[z], cover2[z]):
                         if x2 >= 0 and x2 != x1:
                             pairs.add((min(x1, x2), max(x1, x2)))
         # same-component pairs: the cut-refinement effect above can also pair
@@ -544,38 +583,50 @@ def _find_improving_move(state, r, s, a, memo):
                 for i1 in range(len(es)):
                     for i2 in range(i1 + 1, len(es)):
                         pairs.add((es[i1], es[i2]))
+        comp_of, comp_pos = state.comp_of, state.comp_pos
         for x1, x2 in sorted(pairs):
-            state.counter.tick()
-            removals = ((x1, state.label[x1]), (x2, state.label[x2]))
-            removed_ids = frozenset((x1, x2))
-            base_sites = sorted({*g.endpoints(x1), *g.endpoints(x2)})
-            swaps = [None]
+            tick()
+            removals = ((x1, label[x1]), (x2, label[x2]))
+            base_sites = edges[x1] + edges[x2]
+            swaps = [(None, ())]
             if s >= 1:
-                swaps += _swap_candidates(state, removed_ids, base_sites)
-            base_mask = state.u_mask & ~(1 << x1) & ~(1 << x2)
-            for sw in swaps:
-                rep, ends = (None, ()) if sw is None else sw
-                free = _free_fn(state, removals, ends)
-                sites = sorted(set(base_sites) | set(ends))
-                cands = _addition_candidates(state, sites, removed_ids, free)
+                c1 = comp_of[x1]
+                if c1 != comp_of[x2]:
+                    pieces = _single_pieces(state, x1) + _single_pieces(state, x2)
+                else:
+                    p1, p2 = comp_pos[x1], comp_pos[x2]
+                    pieces = _pieces(state.comps[c1], (p1, p2) if p1 < p2 else (p2, p1))
+                swaps += _swap_candidates(state, removals, pieces, base_sites)
+            base_mask = u_mask & ~(1 << x1) & ~(1 << x2)
+            for rep, ends in swaps:
+                cands = _addition_candidates(state, base_sites + ends, removals, ends)
                 n = len(cands)
                 if a >= 3 and n >= 3:
                     for trio_idx in combinations(range(n), 3):
-                        state.counter.tick()
+                        tick()
                         trio = tuple(cands[i] for i in trio_idx)
                         if _compatible(g, trio):
                             return Move(removals, rep, trio)
                 for i in range(n):
+                    e1, t1 = cands[i]
+                    u1, v1 = edges[e1]
                     for j in range(i + 1, n):
-                        state.counter.tick()
-                        duo = (cands[i], cands[j])
-                        if not _compatible(g, duo):
+                        tick()
+                        e2, t2 = cands[j]
+                        if e1 == e2:
                             continue
-                        nm = base_mask | (1 << duo[0][0]) | (1 << duo[1][0])
-                        if nm == state.u_mask:
+                        if t1 == t2:
+                            u2, v2 = edges[e2]
+                            if u2 == u1 or u2 == v1 or v2 == u1 or v2 == v1:
+                                continue
+                        nm = base_mask | (1 << e1) | (1 << e2)
+                        if nm == u_mask:
                             continue
-                        if _eval_mask(state, nm, memo) < cur_key:
-                            return Move(removals, rep, duo)
+                        key = memo.get(nm)
+                        if key is None:
+                            key = _eval_mask(state, nm, memo)
+                        if key < cur_key:
+                            return Move(removals, rep, (cands[i], cands[j]))
     return None
 
 

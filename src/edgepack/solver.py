@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .conflict import _peel_color, build_conflict_graph, color_exact
+from .conflict import _peel_color, build_conflict_graph
 from .graph import _smallest_last, edge_distance
 from .matching import greedy_init, local_search
 
@@ -274,11 +274,14 @@ def solve_pipeline(g, seed, retries=8, exact_budget=50_000_000):
 
     Three tiers, each tried only when the one before it fails:
 
-    1. "greedy": greedy_init(g, seed + a) for a in range(retries), with H
-       colored by searching only its 4-core (_peel_color, node-budgeted);
+    1. "greedy": greedy_init(g, seed + a) for a in range(retries);
     2. "pipeline": the paper's route, local_search(g, seed + a) to a
-       switch-stable pair for a in range(retries), with H colored exactly;
+       switch-stable pair for a in range(retries);
     3. "fallback": solve_exact on g.
+
+    In the first two tiers H is colored by searching only its 4-core
+    (_peel_color, node-budgeted); an "unsat" or "unknown" answer moves on to
+    the next seed, so neither tier can hang on a hard H.
 
     SolveResult.method names the tier that answered, and nodes sums the
     coloring and exact-search nodes of every tier tried.  Any coloring
@@ -287,13 +290,12 @@ def solve_pipeline(g, seed, retries=8, exact_budget=50_000_000):
     """
     g.require_subcubic("solve_pipeline")
     nodes = 0
-    tiers = (("greedy", greedy_init, _peel_color),
-             ("pipeline", lambda g, s: local_search(g, s).pair,
-              lambda h: color_exact(h, 4)))
-    for method, find_pair, color in tiers:
+    tiers = (("greedy", greedy_init),
+             ("pipeline", lambda g, s: local_search(g, s).pair))
+    for method, find_pair in tiers:
         for attempt in range(retries):
             pair = find_pair(g, seed + attempt)
-            col = color(build_conflict_graph(g, pair))
+            col = _peel_color(build_conflict_graph(g, pair))
             nodes += col.nodes
             if col.sat:
                 coloring = assemble(pair, col.colors)

@@ -7,8 +7,10 @@ literal move neighborhood via plain BFS over edge sets, the coloring
 color_exact must find via chronological DSATUR recursion, and the answer
 solve_exact must give via recursive backtracking over bitmasks built from
 the line graph.  None of it calls back into the solver paths it is used to
-check; the only library name used is the Move record that apply_move
-consumes.
+check; the only library names used are the Move record that apply_move
+consumes and, for the reference switch scanner (the closure-based scan the
+library's table-driven one must match move for move and tick for tick), the
+union-component walk and the objective key.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from edgepack.matching import Move
+from edgepack.matching import Move, _components_from_labels, union_objective_key
 
 
 def line_graph_distances(n, edges):
@@ -507,6 +509,341 @@ def neighborhood(pair, r=2, s=1, a=3):
                     for combo in combinations(cands, size):
                         if _fits(g, combo):
                             yield Move(removals, rep, combo)
+
+
+# ---------------------------------------------------------------------------
+# Reference switch scanner
+# ---------------------------------------------------------------------------
+# The closure-based (2,1,3) scanner as it stood before the library's scan
+# became table-driven, kept unchanged: the library must return the same Move
+# and spend the same ticks.  Only Move, _components_from_labels and
+# union_objective_key come from the library.
+
+def _label(g, m1, m2):
+    """Edge -> 1 or 2 for the matching holding it, 0 for leftover edges."""
+    label = [0] * g.m
+    for t, target in ((1, m1), (2, m2)):
+        for e in target:
+            label[e] = t
+    return label
+
+
+def _cover(g, edges):
+    """Vertex -> the edge among the given matching edges that covers it, or -1."""
+    cover = [-1] * g.n
+    for e in edges:
+        u, v = g.endpoints(e)
+        cover[u] = cover[v] = e
+    return cover
+
+
+def _compatible(g, adds):
+    used = {1: set(), 2: set()}
+    eids = set()
+    for e, t in adds:
+        if e in eids:
+            return False
+        eids.add(e)
+        u, v = g.endpoints(e)
+        if u in used[t] or v in used[t]:
+            return False
+        used[t].add(u)
+        used[t].add(v)
+    return True
+
+
+class ScanBudgetExhausted(Exception):
+    """Raised when the reference scan runs out of its tick budget."""
+
+
+class ScanCounter:
+    __slots__ = ("used", "cap")
+
+    def __init__(self, cap=None):
+        self.used = 0
+        self.cap = cap
+
+    def tick(self, k=1):
+        self.used += k
+        if self.cap is not None and self.used > self.cap:
+            raise ScanBudgetExhausted
+
+
+class _State:
+    """Scan-time view of a pair: labels, cover arrays, union components."""
+
+    __slots__ = ("g", "pair", "label", "cover1", "cover2", "u_edges", "u_mask",
+                 "comps", "comp_of", "comp_pos", "end_comp", "counter")
+
+    def __init__(self, pair, counter):
+        g = pair.graph
+        self.g = g
+        self.pair = pair
+        self.counter = counter
+        self.label = _label(g, pair.m1, pair.m2)
+        self.cover1 = _cover(g, pair.m1)
+        self.cover2 = _cover(g, pair.m2)
+        self.u_edges = sorted(pair.union())
+        self.u_mask = 0
+        for e in self.u_edges:
+            self.u_mask |= 1 << e
+        self.comps = _components_from_labels(g, self.label)
+        self.comp_of = {}
+        self.comp_pos = {}
+        self.end_comp = {}
+        for i, c in enumerate(self.comps):
+            for pos, e in enumerate(c.edges):
+                self.comp_of[e] = i
+                self.comp_pos[e] = pos
+            for v in c.ends:
+                self.end_comp[v] = i
+
+
+def _pieces_after_removal(state, removed_ids):
+    """Path pieces of the affected union components once removed_ids are gone.
+
+    Each piece is (rep, ends).  Pieces of a path or cycle are always paths.
+    """
+    by_comp = {}
+    for x in removed_ids:
+        by_comp.setdefault(state.comp_of[x], []).append(x)
+    pieces = []
+    for ci, removed in by_comp.items():
+        comp = state.comps[ci]
+        k = len(comp.edges)
+        gone = {state.comp_pos[x] for x in removed}
+        if comp.is_cycle:
+            # walk runs of kept edges cyclically, starting after a removed one
+            start = min(gone)
+            order = [(start + step) % k for step in range(1, k + 1)]
+        else:
+            order = range(k)
+        run = []
+        for idx in order:
+            if idx in gone:
+                if run:
+                    pieces.append(_piece_from_run(comp, run))
+                    run = []
+            else:
+                run.append(idx)
+        if run:
+            pieces.append(_piece_from_run(comp, run))
+    return pieces
+
+
+def _piece_from_run(comp, run):
+    # verts[i], verts[i + 1] are the ends of edges[i], also across a cycle's
+    # closing edge, so a run that wraps needs no index arithmetic
+    ends = (comp.verts[run[0]], comp.verts[run[-1] + 1])
+    return min(comp.edges[i] for i in run), ends
+
+
+def _swap_candidates(state, removed_ids, base_sites):
+    """Components worth swapping for this removal set: the split pieces plus
+    unaffected path components whose endpoint can take an addition toward a
+    newly freed site."""
+    g = state.g
+    out = {}
+    for rep, ends in _pieces_after_removal(state, removed_ids):
+        out[rep] = ends
+    affected = {state.comp_of[x] for x in removed_ids}
+    for s0 in base_sites:
+        for e in g.incident(s0):
+            if state.label[e] != 0 and e not in removed_ids:
+                continue
+            w = g.other_end(e, s0)
+            ci = state.end_comp.get(w)
+            if ci is None or ci in affected:
+                continue
+            comp = state.comps[ci]
+            out[comp.rep] = comp.ends
+    return sorted(out.items())
+
+
+def _free_fn(state, removals, swap_ends):
+    freed1 = set()
+    freed2 = set()
+    for x, t in removals:
+        (freed1 if t == 1 else freed2).update(state.g.endpoints(x))
+    ends = set(swap_ends)
+    cover1, cover2 = state.cover1, state.cover2
+
+    def free(v, t):
+        f1 = cover1[v] < 0 or v in freed1
+        f2 = cover2[v] < 0 or v in freed2
+        if v in ends:
+            f1, f2 = f2, f1
+        return f1 if t == 1 else f2
+
+    return free
+
+
+def _addition_candidates(state, sites, removed_ids, free):
+    g = state.g
+    label = state.label
+    out = set()
+    for s0 in sites:
+        for e in g.incident(s0):
+            if label[e] != 0 and e not in removed_ids:
+                continue
+            u, v = g.endpoints(e)
+            if free(u, 1) and free(v, 1):
+                out.add((e, 1))
+            if free(u, 2) and free(v, 2):
+                out.add((e, 2))
+    return sorted(out)
+
+
+def _eval_mask(state, mask, memo):
+    key = memo.get(mask)
+    if key is None:
+        state.counter.tick()
+        key = union_objective_key(state.g, mask)
+        memo[mask] = key
+    return key
+
+
+def _find_improving_move(state, r, s, a, memo):
+    """First improving Move in scan order, or None if the pair is stable.
+
+    Scan order: pure additions, swap-then-add, one removal (without, then
+    with, a swap; larger addition sets first), two removals likewise.  Within
+    a bucket, candidates are tried in ascending (edge, tag) order.
+
+    Two-removal pairs are restricted to those that can carry an improving
+    move once the earlier stages came up empty: pairs whose removals each
+    admit some addition candidate on their own, and pairs linked by a
+    potential cross addition between their freed endpoints.  Any other pair
+    only reaches unions already examined by the one-removal stage.
+    """
+    g = state.g
+    cur_key = _eval_mask(state, state.u_mask, memo)
+
+    if a >= 1:
+        cover1, cover2 = state.cover1, state.cover2
+        for e in range(g.m):
+            if state.label[e]:
+                continue
+            u, v = g.endpoints(e)
+            state.counter.tick()
+            if cover1[u] < 0 and cover1[v] < 0:
+                return Move((), None, ((e, 1),))
+            if cover2[u] < 0 and cover2[v] < 0:
+                return Move((), None, ((e, 2),))
+
+    if s >= 1 and a >= 1:
+        for comp in state.comps:
+            if comp.is_cycle:
+                continue
+            state.counter.tick()
+            free = _free_fn(state, (), comp.ends)
+            cands = _addition_candidates(state, sorted(set(comp.ends)), frozenset(), free)
+            if cands:
+                return Move((), comp.rep, (cands[0],))
+
+    active = set()
+    if r >= 1:
+        for x in state.u_edges:
+            removals = ((x, state.label[x]),)
+            removed_ids = frozenset((x,))
+            base_sites = sorted(set(g.endpoints(x)))
+            swaps = [None]
+            if s >= 1:
+                swaps += _swap_candidates(state, removed_ids, base_sites)
+            for sw in swaps:
+                rep, ends = (None, ()) if sw is None else sw
+                state.counter.tick()
+                free = _free_fn(state, removals, ends)
+                sites = sorted(set(base_sites) | set(ends))
+                cands = _addition_candidates(state, sites, removed_ids, free)
+                if any(c[0] != x for c in cands):
+                    active.add(x)
+                n = len(cands)
+                if a >= 2:
+                    for i in range(n):
+                        for j in range(i + 1, n):
+                            state.counter.tick()
+                            duo = (cands[i], cands[j])
+                            if _compatible(g, duo):
+                                return Move(removals, rep, duo)
+                if a >= 1:
+                    for cand in cands:
+                        nm = (state.u_mask & ~(1 << x)) | (1 << cand[0])
+                        if nm == state.u_mask:
+                            continue
+                        if _eval_mask(state, nm, memo) < cur_key:
+                            return Move(removals, rep, (cand,))
+
+    if r >= 2 and a >= 2:
+        pairs = set()
+        # any pair with an active removal: the partner may contribute its own
+        # additions, or merely cut a component so that a swapped piece flips
+        # fewer vertices than any single-removal variant reaches
+        for x1 in sorted(active):
+            for x2 in state.u_edges:
+                if x2 != x1:
+                    pairs.add((min(x1, x2), max(x1, x2)))
+        # cross pairs: an available edge from an endpoint of x1 to an
+        # endpoint of x2 may become addable only when both are removed
+        for x1 in state.u_edges:
+            for w1 in g.endpoints(x1):
+                for e in g.incident(w1):
+                    if state.label[e] != 0 and e != x1:
+                        continue
+                    z = g.other_end(e, w1)
+                    for x2 in (state.cover1[z], state.cover2[z]):
+                        if x2 >= 0 and x2 != x1:
+                            pairs.add((min(x1, x2), max(x1, x2)))
+        # same-component pairs: the cut-refinement effect above can also pair
+        # two inactive removals when they share a component
+        for comp in state.comps:
+            if len(comp.edges) >= 2:
+                es = sorted(comp.edges)
+                for i1 in range(len(es)):
+                    for i2 in range(i1 + 1, len(es)):
+                        pairs.add((es[i1], es[i2]))
+        for x1, x2 in sorted(pairs):
+            state.counter.tick()
+            removals = ((x1, state.label[x1]), (x2, state.label[x2]))
+            removed_ids = frozenset((x1, x2))
+            base_sites = sorted({*g.endpoints(x1), *g.endpoints(x2)})
+            swaps = [None]
+            if s >= 1:
+                swaps += _swap_candidates(state, removed_ids, base_sites)
+            base_mask = state.u_mask & ~(1 << x1) & ~(1 << x2)
+            for sw in swaps:
+                rep, ends = (None, ()) if sw is None else sw
+                free = _free_fn(state, removals, ends)
+                sites = sorted(set(base_sites) | set(ends))
+                cands = _addition_candidates(state, sites, removed_ids, free)
+                n = len(cands)
+                if a >= 3 and n >= 3:
+                    for trio_idx in combinations(range(n), 3):
+                        state.counter.tick()
+                        trio = tuple(cands[i] for i in trio_idx)
+                        if _compatible(g, trio):
+                            return Move(removals, rep, trio)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        state.counter.tick()
+                        duo = (cands[i], cands[j])
+                        if not _compatible(g, duo):
+                            continue
+                        nm = base_mask | (1 << duo[0][0]) | (1 << duo[1][0])
+                        if nm == state.u_mask:
+                            continue
+                        if _eval_mask(state, nm, memo) < cur_key:
+                            return Move(removals, rep, duo)
+    return None
+
+def find_improving_move_reference(pair, r=2, s=1, a=3, counter=None, memo=None):
+    """First improving Move in the reference scan order, or None when stable.
+
+    counter (a ScanCounter) receives one tick per step the scan charges and
+    raises ScanBudgetExhausted past its cap; memo maps union masks to keys.
+    """
+    state = _State(pair, ScanCounter(None) if counter is None else counter)
+    return _find_improving_move(state, r, s, a, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------

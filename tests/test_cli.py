@@ -207,6 +207,28 @@ def test_budget_exhaustion_exit3(capsys):
     assert json.loads(out)["status"] == "unknown"
 
 
+def test_audit_budget_exhaustion_exit3(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--family", "random_cubic",
+                           "--n", "40", "--budget", "10")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["stable"] is False
+    assert doc["lemmas"]["stability"] is None
+
+
+def test_negative_budget_is_usage_error(capsys):
+    for argv in (("solve", "--family", "petersen", "--sequence", "1^2,2^4"),
+                 ("solve", "--family", "petersen", "--sequence", "1^2,2^4",
+                  "--method", "pipeline"),
+                 ("audit", "--family", "petersen"),
+                 ("batch", "--family", "petersen", "--count", "2")):
+        code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+        assert (code, out, err) == (2, "", "error: --budget must be >= 0\n"), argv
+    code, _, _ = run_cli(capsys, "solve", "--family", "petersen",
+                         "--sequence", "1^2,2^4", "--budget", "0")
+    assert code == 3
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

@@ -10,8 +10,10 @@ from edgepack import (Graph, MatchingPair, apply_move, exact_max_union,
                       find_improving_move, generate_named, greedy_init,
                       local_search, parse_edge_list, random_cubic,
                       union_objective_key)
+from edgepack import matching
 from edgepack.matching import Move
-from oracles import (edge_components, evaluate, max_disjoint_matching_pair,
+from oracles import (ScanBudgetExhausted, ScanCounter, edge_components, evaluate,
+                     find_improving_move_reference, max_disjoint_matching_pair,
                      neighborhood, sample_subcubic_instances)
 
 
@@ -223,6 +225,121 @@ def test_scanner_agrees_with_literal_neighborhood():
                 cur = union_objective_key(pair.graph, pair.union_mask())
                 nxt = apply_move(pair, scan)
                 assert union_objective_key(pair.graph, nxt.union_mask()) < cur
+
+
+def _random_partial_pair(rng, g):
+    """Each edge, in random order, joins m1 or m2 where it fits, or neither."""
+    order = list(range(g.m))
+    rng.shuffle(order)
+    chosen = {1: set(), 2: set()}
+    covered = {1: set(), 2: set()}
+    for e in order:
+        t = rng.choice((0, 1, 2))
+        u, v = g.endpoints(e)
+        if t and u not in covered[t] and v not in covered[t]:
+            chosen[t].add(e)
+            covered[t] |= {u, v}
+    return MatchingPair(g, chosen[1], chosen[2])
+
+
+def _scanner_cases():
+    rng = random.Random(43)
+    graphs = [_random_subcubic_graph(rng, nmax=12) for _ in range(60)]
+    graphs += [random_cubic(n, seed) for n, seeds in
+               ((10, 2), (20, 2), (30, 2), (40, 2), (50, 1), (60, 1))
+               for seed in range(seeds)]
+    cases = []
+    for i, g in enumerate(graphs):
+        if g.m == 0:
+            continue
+        pair = greedy_init(g, i)
+        cases.append(MatchingPair(g, sorted(pair.m1)[:len(pair.m1) // 2], pair.m2))
+        cases.append(_random_partial_pair(rng, g))
+        # the pairs a search walks through up to its stable end
+        while pair is not None:
+            cases.append(pair)
+            move = find_improving_move(pair)
+            pair = None if move is None else apply_move(pair, move)
+    return cases
+
+
+def _cycle_cuts(pair):
+    """(adjacent, wrap-around) position pairs over the union cycles of pair,
+    in the walk order both scanners use."""
+    g = pair.graph
+    label = [1 if e in pair.m1 else 2 if e in pair.m2 else 0 for e in range(g.m)]
+    cycles = [c for c in matching._components_from_labels(g, label) if c.is_cycle]
+    return sum(len(c.edges) - 1 for c in cycles), len(cycles)
+
+
+def test_scanner_agrees_with_reference_scanner():
+    # the table-driven scanner must return the reference's Move and charge
+    # the same ticks, on greedy, half-emptied, random partial and stable pairs
+    checked = adjacent = wrapped = 0
+    for pair in _scanner_cases():
+        for params in ((2, 1, 3), (1, 1, 2), (2, 0, 2), (2, 1, 2)):
+            want_ticks = ScanCounter()
+            want = find_improving_move_reference(pair, *params, counter=want_ticks)
+            state = matching._State(pair, matching._Counter())
+            got = matching._find_improving_move(state, *params, {})
+            assert got == want, (pair, params)
+            assert state.counter.used == want_ticks.used, (pair, params)
+            checked += 1
+            r, s, _ = params
+            # a move-free (2,1,*) scan tries every two-removal pair of each
+            # union cycle, among them the pieces cut at adjacent positions
+            # and across the walk's wrap-around
+            if want is None and r == 2 and s == 1:
+                cuts = _cycle_cuts(pair)
+                adjacent += cuts[0]
+                wrapped += cuts[1]
+    assert checked >= 1000
+    assert adjacent > 0 and wrapped > 0
+
+
+def _local_search_reference(g, seed, budget):
+    """local_search's restart loop driven by the reference scanner."""
+    memo = {}
+    best = None
+    total = 0
+    for i in range(matching._RESTARTS):
+        pair = greedy_init(g, seed + i)
+        counter = ScanCounter(budget)
+        tripped = False
+        while True:
+            try:
+                move = find_improving_move_reference(pair, counter=counter, memo=memo)
+            except ScanBudgetExhausted:
+                tripped = True
+                break
+            if move is None:
+                break
+            pair = apply_move(pair, move)
+        total += counter.used
+        if not tripped:
+            return pair, True, total, i + 1
+        key = union_objective_key(g, pair.union_mask())
+        if best is None or key < best[0]:
+            best = (key, pair)
+    return best[1], False, total, matching._RESTARTS
+
+
+def test_local_search_agrees_with_reference_loop():
+    rng = random.Random(53)
+    runs = [(_random_subcubic_graph(rng, nmax=12), seed, 200_000) for seed in range(24)]
+    runs += [(random_cubic(n, seed), seed, 200_000) for n, seed in
+             ((10, 0), (14, 1), (18, 2), (22, 3), (26, 4), (30, 5))]
+    runs.append((random_cubic(40, 6), 6, 60))
+    tripped = 0
+    for g, seed, budget in runs:
+        if g.m == 0:
+            continue
+        res = local_search(g, seed, budget=budget)
+        pair, stable, evaluations, restarts = _local_search_reference(g, seed, budget)
+        assert (res.pair.m1, res.pair.m2, res.stable, res.evaluations, res.restarts) \
+            == (pair.m1, pair.m2, stable, evaluations, restarts), (g, seed)
+        tripped += not stable
+    assert tripped >= 1
 
 
 # -- local search ---------------------------------------------------------------

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from edgepack import (EdgeColoring, Graph, MatchingPair, PackingSequence,
-                      SEQ_12_24, assemble, build_conflict_graph, color_exact,
-                      exact_max_union, generate_named, greedy_init,
+                      SEQ_12_24, SearchResult, assemble, build_conflict_graph,
+                      color_exact, exact_max_union, generate_named, greedy_init,
                       local_search, max_induced_matching, parse_edge_list,
                       random_cubic, solve_exact, solve_pipeline, verify)
 from edgepack.graph import _smallest_last
@@ -271,6 +272,29 @@ def test_pipeline_escalates_past_a_failing_greedy_tier(monkeypatch):
         res = solve_pipeline(g, seed)
         assert (res.status, res.method) == ("sat", "pipeline")
         assert verify(g, SEQ_12_24, res.coloring) == []
+
+
+def test_pipeline_switch_tier_cannot_hang_on_a_hard_h(monkeypatch):
+    # both pair finders are patched to a pair whose H is not 4-colored: the
+    # switch tier must give up through the budgeted core coloring and hand
+    # over to the exact fallback.  The empty pair's H holds a K5; the greedy
+    # pair's H below has a 96-vertex 4-core that the budget cannot settle and
+    # an unbudgeted color_exact did not settle in minutes
+    hard_g = random_cubic(150, 7011)
+    hard = greedy_init(hard_g, 11)
+    cases = ((random_cubic(10, 1), lambda g, seed: MatchingPair(g, (), ()), 8),
+             (hard_g, lambda g, seed: hard, 1))
+    for g, pair_of, retries in cases:
+        monkeypatch.setattr("edgepack.solver.greedy_init", pair_of)
+        monkeypatch.setattr("edgepack.solver.local_search",
+                            lambda g, seed: SearchResult(pair_of(g, seed), True, 0, 1))
+        t0 = time.perf_counter()
+        res = solve_pipeline(g, 0, retries=retries)
+        elapsed = time.perf_counter() - t0
+        assert (res.status, res.method) == ("sat", "fallback")
+        assert verify(g, SEQ_12_24, res.coloring) == []
+        if g.n == 10:
+            assert elapsed < 1.0
 
 
 def test_pipeline_greedy_tier_at_scale():
