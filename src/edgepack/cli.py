@@ -5,7 +5,10 @@ Exit codes: 0 = SAT / valid / audit-clean, 1 = UNSAT / invalid / violations,
 whose search stopped short of a switch-stable pair), 4 = internal error (a
 defect in edgepack, never a verdict on the input).  All output is
 JSON (or TSV with --format tsv) on stdout; given identical arguments the
-output is byte-identical across runs.
+output is byte-identical across runs.  solve and batch bind one solver
+before reading any graph; batch solves one graph at a time, records a graph6
+line that fails to parse or to solve as an error (exit 2), and otherwise
+exits with its worst status.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+_STATUS_EXIT = {"sat": EXIT_OK, "unsat": EXIT_NEGATIVE,
+                "unknown": EXIT_BUDGET, "fail": EXIT_BUDGET}
 
 
 class CliError(Exception):
@@ -105,21 +111,22 @@ def _cmd_distance(args):
     return EXIT_OK
 
 
-def _cmd_solve(args):
-    g = _load_graph(args)
+def _solver(args):
+    """(sequence, solve) from --sequence, --method and --budget, checked
+    before any graph is read; solve(g, seed) returns a SolveResult."""
     seq = PackingSequence.parse(args.sequence)
-    if args.method == "pipeline":
-        if seq.values != SEQ_12_24.values:
-            raise CliError("the pipeline solves exactly the (1^2,2^4) sequence")
-        result = solve_pipeline(g, args.seed)
-    else:
-        result = solve_exact(g, seq, budget=args.budget)
+    if args.method == "exact":
+        return seq, lambda g, seed: solve_exact(g, seq, budget=args.budget)
+    if seq.values != SEQ_12_24.values:
+        raise CliError("the pipeline solves exactly the (1^2,2^4) sequence")
+    return seq, lambda g, seed: solve_pipeline(g, seed, exact_budget=args.budget)
+
+
+def _cmd_solve(args):
+    seq, solve = _solver(args)
+    result = solve(_load_graph(args), args.seed)
     _emit(result.to_json_dict(seq), args.format)
-    if result.status == "sat":
-        return EXIT_OK
-    if result.status == "unsat":
-        return EXIT_NEGATIVE
-    return EXIT_BUDGET
+    return _STATUS_EXIT[result.status]
 
 
 def _cmd_verify(args):
@@ -132,8 +139,6 @@ def _cmd_verify(args):
         violations = verify(g, seq, coloring)
     except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(f"bad coloring file: {exc}") from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     payload = {
         "status": "valid" if not violations else "invalid",
         "sequence": list(seq),
@@ -177,64 +182,52 @@ def _cmd_audit(args):
 
 
 def _cmd_batch(args):
-    records = []
-    errors = 0
-    graphs = []
+    _, solve = _solver(args)
     if args.input:
         lines = _read_input(args.input).splitlines()
-        for idx, line in enumerate(ln for ln in lines if ln.strip()):
-            try:
-                graphs.append((idx, graph_mod.parse_graph6(line)))
-            except ValueError as exc:
-                records.append({"index": idx, "status": "error", "error": str(exc)})
-                errors += 1
+        inputs = enumerate(ln for ln in lines if ln.strip())
+        read = graph_mod.parse_graph6
     elif args.family:
         if args.count < 0:
             raise CliError("--count must be >= 0")
         make = _family(args)
-        for idx in range(args.count):
-            graphs.append((idx, make(args.seed + idx)))
+        # generated outside the try below: a generation error is a usage error
+        inputs = ((idx, make(args.seed + idx)) for idx in range(args.count))
+        read = lambda g: g
     else:
         raise CliError("batch needs --input or --family")
 
-    seq = PackingSequence.parse(args.sequence)
-    counts = {"sat": 0, "unsat": 0, "unknown": 0, "fail": 0}
+    records = []
+    counts = dict.fromkeys(_STATUS_EXIT, 0)
     fallbacks = 0
-    for idx, g in graphs:
-        if args.method == "pipeline":
-            result = solve_pipeline(g, args.seed + idx)
-        else:
-            result = solve_exact(g, seq, budget=args.budget)
-        counts[result.status] = counts.get(result.status, 0) + 1
+    for idx, item in inputs:
+        try:
+            g = read(item)
+            result = solve(g, args.seed + idx)
+        except ValueError as exc:
+            records.append({"index": idx, "status": "error", "error": str(exc)})
+            continue
+        counts[result.status] += 1
         if result.method == "fallback":
             fallbacks += 1
         records.append({"index": idx, "n": g.n, "m": g.m, "status": result.status,
                         "method": result.method, "nodes": result.nodes})
-    records.sort(key=lambda rec: rec["index"])
-    payload = {
-        "results": records,
-        "graphs": len(graphs),
-        "errors": errors,
-        "counts": counts,
-        "fallbacks": fallbacks,
-    }
+    graphs = sum(counts.values())
+    errors = len(records) - graphs
     if args.format == "tsv":
         for rec in records:
             cols = [rec["index"], rec.get("n", ""), rec.get("m", ""),
                     rec["status"], rec.get("method", ""), rec.get("nodes", "")]
             print("\t".join(str(c) for c in cols))
-        print(f"# graphs={len(graphs)} errors={errors} "
+        print(f"# graphs={graphs} errors={errors} "
               + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
               + f" fallbacks={fallbacks}")
     else:
-        _emit(payload, "json")
+        _emit({"results": records, "graphs": graphs, "errors": errors,
+               "counts": counts, "fallbacks": fallbacks}, "json")
     if errors:
         return EXIT_USAGE
-    if counts["fail"] or counts["unknown"]:
-        return EXIT_BUDGET
-    if counts["unsat"]:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return max((_STATUS_EXIT[s] for s, c in counts.items() if c), default=EXIT_OK)
 
 
 def build_parser():
@@ -250,6 +243,13 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
 
+    def add_solver(p, method, **sequence):
+        p.add_argument("--sequence", help='e.g. "1^2,2^4"', **sequence)
+        p.add_argument("--method", choices=("exact", "pipeline"), default=method)
+        p.add_argument("--budget", type=int, default=50_000_000,
+                       help="search nodes of solve_exact, or of the exact "
+                            "fallback of the pipeline (per graph in batch)")
+
     p = sub.add_parser("gen", help="generate or convert a graph")
     add_common(p, fmt_choices=("edgelist", "graph6"))
     p.set_defaults(func=_cmd_gen)
@@ -262,9 +262,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="decide S-packing colorability")
     add_common(p)
-    p.add_argument("--sequence", required=True, help='e.g. "1^2,2^4"')
-    p.add_argument("--method", choices=("exact", "pipeline"), default="exact")
-    p.add_argument("--budget", type=int, default=50_000_000)
+    add_solver(p, "exact", required=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a coloring file")
@@ -275,15 +273,14 @@ def build_parser():
 
     p = sub.add_parser("audit", help="local search plus structural audit")
     add_common(p)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=200_000,
+                   help="move evaluations per start of the switch search")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("batch", help="run a solver over many graphs")
     add_common(p)
     p.add_argument("--count", type=int, default=1, help="number of generated graphs")
-    p.add_argument("--sequence", default="1^2,2^4")
-    p.add_argument("--method", choices=("exact", "pipeline"), default="pipeline")
-    p.add_argument("--budget", type=int, default=50_000_000)
+    add_solver(p, "pipeline", default="1^2,2^4")
     p.set_defaults(func=_cmd_batch)
 
     return parser
@@ -299,10 +296,7 @@ def main(argv=None):
         if getattr(args, "budget", 0) < 0:
             raise CliError("--budget must be >= 0")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -161,7 +161,8 @@ def _dsatur(adj, comp, k, colors, budget=math.inf):
     A vertex is picked by the key (most distinct neighbor colors, highest
     degree, lowest index); heap entries go stale when a vertex is colored or
     its saturation changes, and are skipped when popped, so every change
-    pushes a fresh entry.
+    pushes a fresh entry.  Past 4 entries per vertex the heap is rebuilt from
+    the uncolored vertices, whose entries are the live ones: no pick changes.
 
     When a vertex runs out of colors, its conflict set holds, for each color
     a neighbor blocks, the depth of the earliest such neighbor, plus the
@@ -195,6 +196,10 @@ def _dsatur(adj, comp, k, colors, budget=math.inf):
 
     while True:
         if descend:
+            if len(heap) > 4 * len(comp):
+                heap[:] = [(-len(sat[u]), -len(adj[u]), u)
+                           for u in comp if colors[u] < 0]
+                heapq.heapify(heap)
             while heap:
                 s, _, v = heapq.heappop(heap)
                 if colors[v] < 0 and -s == len(sat[v]):

@@ -268,16 +268,19 @@ def assemble(pair, h_colors):
     return EdgeColoring(tuple(assignment))
 
 
-def solve_pipeline(g, seed, retries=8, exact_budget=50_000_000):
+_RETRIES = 8
+
+
+def solve_pipeline(g, seed, exact_budget=50_000_000):
     """Constructive (1^2,2^4) solver: a matching pair, a 4-coloring of its
     conflict graph H, then assemble and verify.
 
     Three tiers, each tried only when the one before it fails:
 
-    1. "greedy": greedy_init(g, seed + a) for a in range(retries);
+    1. "greedy": greedy_init(g, seed + a) for a in range(_RETRIES);
     2. "pipeline": the paper's route, local_search(g, seed + a) to a
-       switch-stable pair for a in range(retries);
-    3. "fallback": solve_exact on g.
+       switch-stable pair for a in range(_RETRIES);
+    3. "fallback": solve_exact on g, within exact_budget nodes.
 
     In the first two tiers H is colored by searching only its 4-core
     (_peel_color, node-budgeted); an "unsat" or "unknown" answer moves on to
@@ -293,7 +296,7 @@ def solve_pipeline(g, seed, retries=8, exact_budget=50_000_000):
     tiers = (("greedy", greedy_init),
              ("pipeline", lambda g, s: local_search(g, s).pair))
     for method, find_pair in tiers:
-        for attempt in range(retries):
+        for attempt in range(_RETRIES):
             pair = find_pair(g, seed + attempt)
             col = _peel_color(build_conflict_graph(g, pair))
             nodes += col.nodes
@@ -302,14 +305,10 @@ def solve_pipeline(g, seed, retries=8, exact_budget=50_000_000):
                 if not verify(g, SEQ_12_24, coloring):
                     return SolveResult("sat", coloring, nodes, method)
     fb = solve_exact(g, SEQ_12_24, budget=exact_budget)
-    nodes += fb.nodes
-    if fb.status == "sat":
-        if verify(g, SEQ_12_24, fb.coloring):
-            raise AssertionError("exact fallback produced an invalid coloring")
-        return SolveResult("sat", fb.coloring, nodes, "fallback")
-    if fb.status == "unsat":
-        return SolveResult("unsat", None, nodes, "fallback")
-    return SolveResult("fail", None, nodes, "fallback")
+    if fb.status == "sat" and verify(g, SEQ_12_24, fb.coloring):
+        raise AssertionError("exact fallback produced an invalid coloring")
+    status = "fail" if fb.status == "unknown" else fb.status
+    return SolveResult(status, fb.coloring, nodes + fb.nodes, "fallback")
 
 
 _INDUCED_MAX_EDGES = 24

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
-from edgepack import generate_named, to_edge_list_text, to_graph6, random_cubic
+from edgepack import (Graph, generate_named, random_cubic, to_edge_list_text,
+                      to_graph6)
 from edgepack.cli import EXIT_INTERNAL, main
 
 
@@ -45,6 +47,32 @@ def test_solve_pipeline_rejects_other_sequences(capsys):
                            "--sequence", "1^2", "--method", "pipeline")
     assert code == 2
     assert "pipeline" in err
+
+
+def test_batch_pipeline_rejects_other_sequences_before_any_graph(capsys):
+    code, out, err = run_cli(capsys, "batch", "--family", "petersen",
+                             "--sequence", "1^3,3")
+    assert (code, out) == (2, "")
+    assert "pipeline" in err
+    code, out, _ = run_cli(capsys, "batch", "--family", "petersen",
+                           "--sequence", "1^3,3", "--method", "exact")
+    assert code == 1
+    assert json.loads(out)["results"][0]["status"] == "unsat"
+
+
+def test_budget_bounds_the_pipeline_exact_fallback(capsys, monkeypatch):
+    # with no greedy or switch attempt, only the exact fallback can answer
+    monkeypatch.setattr("edgepack.solver._RETRIES", 0)
+    code, out, _ = run_cli(capsys, "solve", "--family", "random_cubic",
+                           "--n", "14", "--seed", "1", "--sequence", "1^2,2^4",
+                           "--method", "pipeline", "--budget", "3")
+    assert code == 3
+    assert json.loads(out)["status"] == "fail"
+    code, out, _ = run_cli(capsys, "batch", "--family", "random_cubic",
+                           "--n", "14", "--seed", "1", "--count", "1",
+                           "--budget", "3")
+    assert code == 3
+    assert json.loads(out)["results"][0]["status"] == "fail"
 
 
 def test_verify_roundtrip_and_corruption(tmp_path, capsys):
@@ -138,6 +166,33 @@ def test_batch_bad_line_exit2(tmp_path, capsys):
     assert doc["counts"]["sat"] == 3
     statuses = {rec["index"]: rec["status"] for rec in doc["results"]}
     assert statuses[1] == "error"
+
+
+def test_batch_non_subcubic_line_is_an_error_record(tmp_path, capsys):
+    k5 = Graph([(i, j) for i in range(5) for j in range(i + 1, 5)])
+    path = tmp_path / "batch.g6"
+    path.write_text("\n".join(to_graph6(g) for g in
+                              (random_cubic(10, 0), k5, random_cubic(10, 2))) + "\n")
+    code, out, _ = run_cli(capsys, "batch", "--input", str(path))
+    assert code == 2
+    doc = json.loads(out)
+    assert [rec["status"] for rec in doc["results"]] == ["sat", "error", "sat"]
+    assert "subcubic" in doc["results"][1]["error"]
+
+
+def test_batch_memory_does_not_grow_with_count(capsys):
+    # graphs and their distance tables are dropped once each is recorded
+    peaks = []
+    for count in ("2", "8"):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "batch", "--family", "random_cubic",
+                                 "--n", "500", "--count", count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_solve_accepts_graph6_input(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -198,6 +199,28 @@ def test_peel_color_agrees_with_k_core_and_color_exact(monkeypatch):
         order, start = conflict._peel(h.adj)
         res = conflict._peel_color(h)
         assert res.status == ("unknown" if start < h.n else "sat")
+
+
+def test_dsatur_heap_stays_bounded_on_a_long_search():
+    # the 96-vertex 4-core of this greedy pair's H keeps a budgeted search
+    # backtracking; stale heap entries must not pile up as the search runs
+    g = random_cubic(150, 7011)
+    h = build_conflict_graph(g, greedy_init(g, 11))
+    order, start = conflict._peel(h.adj)
+    core = order[start:]
+    local = {v: i for i, v in enumerate(core)}
+    core_adj = [[local[w] for w in h.adj[v] if w in local] for v in core]
+    assert len(core) == 96
+    peaks = []
+    for budget in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            res = conflict._dsatur(core_adj, list(range(96)), 4, [-1] * 96, budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res == (None, budget + 1)
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_color_exact_long_path_and_odd_cycle_need_no_recursion():

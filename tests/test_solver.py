@@ -12,6 +12,7 @@ from edgepack import (EdgeColoring, Graph, MatchingPair, PackingSequence,
                       color_exact, exact_max_union, generate_named, greedy_init,
                       local_search, max_induced_matching, parse_edge_list,
                       random_cubic, solve_exact, solve_pipeline, verify)
+from edgepack import conflict
 from edgepack.graph import _smallest_last
 from oracles import (degeneracy_order_reference, enumerate_packing_colorable,
                      sample_subcubic_instances, solve_exact_reference)
@@ -288,8 +289,9 @@ def test_pipeline_switch_tier_cannot_hang_on_a_hard_h(monkeypatch):
         monkeypatch.setattr("edgepack.solver.greedy_init", pair_of)
         monkeypatch.setattr("edgepack.solver.local_search",
                             lambda g, seed: SearchResult(pair_of(g, seed), True, 0, 1))
+        monkeypatch.setattr("edgepack.solver._RETRIES", retries)
         t0 = time.perf_counter()
-        res = solve_pipeline(g, 0, retries=retries)
+        res = solve_pipeline(g, 0)
         elapsed = time.perf_counter() - t0
         assert (res.status, res.method) == ("sat", "fallback")
         assert verify(g, SEQ_12_24, res.coloring) == []
@@ -303,6 +305,19 @@ def test_pipeline_greedy_tier_at_scale():
         res = solve_pipeline(g, seed)
         assert (res.status, res.method) == ("sat", "greedy")
         assert verify(g, SEQ_12_24, res.coloring) == []
+
+
+def test_greedy_tier_colors_an_all_core_h():
+    # every vertex of this H but one lies in its 4-core, so the peel leaves
+    # the whole search to the budgeted coloring of the core
+    g = random_cubic(10**4, 1)
+    pair = greedy_init(g, 1)
+    h = build_conflict_graph(g, pair)
+    order, start = conflict._peel(h.adj)
+    assert (h.n, len(order) - start) == (6338, 6337)
+    col = conflict._peel_color(h)
+    assert col.status == "sat"
+    assert verify(g, SEQ_12_24, assemble(pair, col.colors)) == []
 
 
 def test_pipeline_accepts_components_requires_subcubic():
@@ -328,12 +343,13 @@ def test_pipeline_exact_agreement():
             assert solve_exact(g, SEQ_12_24).status == "sat"
 
 
-def test_pipeline_fallback_path():
+def test_pipeline_fallback_path(monkeypatch):
+    monkeypatch.setattr("edgepack.solver._RETRIES", 0)
     g = random_cubic(14, 1)
-    res = solve_pipeline(g, 1, retries=0)
+    res = solve_pipeline(g, 1)
     assert res.status == "sat" and res.method == "fallback"
     assert verify(g, SEQ_12_24, res.coloring) == []
-    res = solve_pipeline(g, 1, retries=0, exact_budget=3)
+    res = solve_pipeline(g, 1, exact_budget=3)
     assert res.status == "fail" and res.method == "fallback"
     assert res.coloring is None
 
