@@ -3,8 +3,8 @@
 Library layout:
 
 - graph: Graph type, parsing (edge list, graph6), named families, random
-  cubic graphs, the edge-distance metric with per-edge distance
-  neighborhoods, and cubic embedding.
+  cubic graphs, and the edge-distance metric with per-edge distance
+  neighborhoods.
 - matching: disjoint matching pairs, the search objective over their union
   (union_objective_key), move application, the pruned improving-move scanner,
   the local search to switch-stability, and the certified exact union
@@ -23,9 +23,8 @@ Literal reference implementations that the tests check the library against
 counting, chronological DSATUR) live in the test suite, not here.
 """
 
-from .graph import (Graph, cubic_embed, edge_distance, generate_named,
-                    parse_edge_list, parse_graph6, random_cubic,
-                    to_edge_list_text, to_graph6)
+from .graph import (Graph, edge_distance, generate_named, parse_edge_list,
+                    parse_graph6, random_cubic, to_edge_list_text, to_graph6)
 from .leftover import Component, LeftoverGraph, build_leftover
 from .conflict import (ColoringResult, ConflictGraph, build_conflict_graph,
                        color_exact)
@@ -42,9 +41,8 @@ from .solver import (EdgeColoring, PackingSequence, SEQ_12_24, SolveResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "cubic_embed", "edge_distance", "generate_named",
-    "parse_edge_list", "parse_graph6", "random_cubic", "to_edge_list_text",
-    "to_graph6",
+    "Graph", "edge_distance", "generate_named", "parse_edge_list",
+    "parse_graph6", "random_cubic", "to_edge_list_text", "to_graph6",
     "Component", "LeftoverGraph", "build_leftover",
     "ColoringResult", "ConflictGraph", "build_conflict_graph", "color_exact",
     "MatchingPair", "Move", "SearchResult", "apply_move", "exact_max_union",

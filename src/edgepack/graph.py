@@ -139,8 +139,7 @@ class Graph:
 
     def distance_masks(self, radius):
         """Bitmask view of neighborhoods(radius), for the small-m bitset code:
-        union_objective_key, solve_exact's class masks, exact_max_union and
-        max_induced_matching.
+        union_objective_key, exact_max_union and max_induced_matching.
 
         Cached per radius; mask bit f of entry e is set iff f != e and
         d(e, f) <= radius.  Each mask is m bits wide, so large graphs should
@@ -407,28 +406,3 @@ def edge_distance(g, e1, e2):
                 q.append(w)
     return math.inf
 
-
-def cubic_embed(g):
-    """Embed a connected subcubic graph into a connected cubic supergraph.
-
-    Returns (h, mapping) where mapping[e] is the EdgeId in h of edge e of g.
-    The construction doubles the graph and joins each deficient vertex to its
-    twin, repeating until 3-regular; a packing edge-coloring of h therefore
-    restricts to one of g, since distances only grow in the subgraph.
-
-    An already cubic input is returned unchanged with the identity mapping.
-    """
-    g.require_subcubic("cubic_embed")
-    if not g.is_connected():
-        raise ValueError("cubic_embed requires a connected graph")
-    cur = g
-    mapping = list(range(g.m))
-    while not cur.is_cubic():
-        nn = cur.n
-        pairs = list(cur.edges)
-        pairs += [(u + nn, v + nn) for u, v in cur.edges]
-        pairs += [(v, v + nn) for v in range(nn) if cur.degree(v) < 3]
-        nxt = Graph(pairs, n=2 * nn)
-        mapping = [nxt.edge_id(*cur.edges[e]) for e in mapping]
-        cur = nxt
-    return cur, mapping

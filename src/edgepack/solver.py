@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 
 from .conflict import _peel_color, build_conflict_graph
 from .graph import _smallest_last, edge_distance
@@ -170,9 +168,15 @@ def solve_exact(g, seq, budget=50_000_000):
     Classes that share an s value are interchangeable, so a previously empty
     class may be opened only in index order.  SAT answers carry a witness
     coloring; UNSAT is only reported after full exhaustion; exceeding the
-    node budget yields UNKNOWN with the node count.  The search keeps an
-    explicit stack: saved[pos] is the blocked mask that order[pos]'s class
-    had before order[pos] joined it.
+    node budget yields UNKNOWN with the node count.
+
+    The search keeps an explicit stack and two block counters: cnt[i][f] is
+    the number of class-i edges within distance s_i of edge f, so f is
+    blocked in class i iff cnt[i][f] > 0, and nblk[f] is the number of
+    classes that block f.  Placing e in class i walks neighborhoods(s_i)[e]
+    (at most 12 edges for s_i <= 2 on a subcubic graph) and is a dead end
+    when an unassigned edge it newly blocks is then blocked in every class;
+    backtracking undoes the same walk.  Memory is O(k*m).
     """
     if isinstance(seq, (tuple, list)):
         seq = PackingSequence(tuple(seq))
@@ -181,18 +185,23 @@ def solve_exact(g, seq, budget=50_000_000):
     if m == 0:
         return SolveResult("sat", EdgeColoring(()), 0, "exact")
     order = _smallest_last(g.neighborhoods(1))[::-1]
-    masks = {s: g.distance_masks(s) for s in set(seq.values)}
-    blocked = [0] * k
+    near = [g.neighborhoods(s) for s in seq]
+    cnt = [[0] * m for _ in range(k)]
+    nblk = [0] * m
     size = [0] * k
     assignment = [-1] * m
-    saved = [0] * m
-    assigned_mask = 0
+
+    def unplace(c, near_e):
+        for f in near_e:
+            c[f] -= 1
+            if not c[f]:
+                nblk[f] -= 1
+
     nodes = 0
     pos = 0
     start = 0
     while pos < m:
         e = order[pos]
-        bit = 1 << e
         # of the empty classes that share an s value, only the first is tried
         seen_empty_s = {seq[j] for j in range(start) if size[j] == 0}
         for i in range(start, k):
@@ -201,22 +210,25 @@ def solve_exact(g, seq, budget=50_000_000):
                 if s in seen_empty_s:
                     continue
                 seen_empty_s.add(s)
-            if blocked[i] & bit:
+            c = cnt[i]
+            if c[e]:
                 continue
             nodes += 1
             if nodes > budget:
                 return SolveResult("unknown", None, nodes, "exact")
-            old = blocked[i]
-            blocked[i] = old | masks[s][e] | bit
             # dead end: an unassigned edge this blocks is now blocked in every class
-            newly = (blocked[i] ^ old) & ~(assigned_mask | bit)
-            if newly & reduce(and_, blocked):
-                blocked[i] = old
+            dead = False
+            for f in near[i][e]:
+                if not c[f]:
+                    nblk[f] += 1
+                    if nblk[f] == k and assignment[f] < 0:
+                        dead = True
+                c[f] += 1
+            if dead:
+                unplace(c, near[i][e])
                 continue
             size[i] += 1
             assignment[e] = i
-            saved[pos] = old
-            assigned_mask |= bit
             pos += 1
             start = 0
             break
@@ -229,8 +241,7 @@ def solve_exact(g, seq, budget=50_000_000):
             i = assignment[e]
             assignment[e] = -1
             size[i] -= 1
-            blocked[i] = saved[pos]
-            assigned_mask ^= 1 << e
+            unplace(cnt[i], near[i][e])
             start = i + 1
     return SolveResult("sat", EdgeColoring(tuple(assignment)), nodes, "exact")
 

@@ -1,4 +1,4 @@
-"""Graph core: parsing, generation, edge distance, cubic embedding."""
+"""Graph core: parsing, generation, edge distance."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ import random
 import networkx as nx
 import pytest
 
-from edgepack import (Graph, cubic_embed, edge_distance, generate_named,
-                      parse_edge_list, parse_graph6, random_cubic,
-                      to_edge_list_text, to_graph6)
+from edgepack import (Graph, edge_distance, generate_named, parse_edge_list,
+                      parse_graph6, random_cubic, to_edge_list_text, to_graph6)
 from oracles import line_graph_distances
 
 
@@ -239,39 +238,3 @@ def test_neighborhoods_match_pairwise_distances_and_masks():
     with pytest.raises(ValueError):
         generate_named("c5").neighborhoods(0)
 
-
-# -- cubic embedding ---------------------------------------------------------
-
-def test_cubic_embed_identity_on_cubic():
-    g = generate_named("k4")
-    h, mapping = cubic_embed(g)
-    assert h is g
-    assert mapping == list(range(g.m))
-
-
-def test_cubic_embed_single_edge():
-    g = parse_edge_list("0 1")
-    h, mapping = cubic_embed(g)
-    assert h.is_cubic() and h.is_connected()
-    assert h.endpoints(mapping[0]) == (0, 1)
-
-
-def test_cubic_embed_c5_degree_audit():
-    g = generate_named("c5")
-    h, mapping = cubic_embed(g)
-    assert h.is_cubic() and h.is_connected()
-    for e, he in enumerate(mapping):
-        assert h.endpoints(he) == g.endpoints(e)
-
-
-def test_cubic_embed_restriction_property():
-    # color the embedding, restrict through the edge mapping, verify on g
-    from edgepack import EdgeColoring, SEQ_12_24, solve_pipeline, verify
-    for source in ("0 1", "0 1\n1 2\n2 3\n3 4\n0 4", "0 1\n1 2\n2 3"):
-        g = parse_edge_list(source)
-        h, mapping = cubic_embed(g)
-        res = solve_pipeline(h, 0)
-        assert res.status == "sat"
-        restricted = EdgeColoring(tuple(res.coloring.assignment[mapping[e]]
-                                        for e in range(g.m)))
-        assert verify(g, SEQ_12_24, restricted) == []

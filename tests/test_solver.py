@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -136,7 +137,7 @@ def test_solve_exact_matches_recursive_reference():
     for (n1, e1), (n2, e2) in zip(pieces[::2], pieces[1::2]):
         shifted = [(u + n1, v + n1) for u, v in e2]
         graphs.append(Graph(list(e1) + shifted, n=n1 + n2 + len(graphs) % 3))
-    seqs = [PackingSequence.parse(s) for s in ("1^2,2^3", "1^2,2^4", "1^3", "1,2^2")]
+    seqs = [PackingSequence.parse(s) for s in ("1^2,2^3", "1^2,2^4", "1^3", "1,2^2", "1^3,3")]
     statuses = set()
     for g in graphs:
         order = _smallest_last(g.neighborhoods(1))[::-1]
@@ -159,6 +160,23 @@ def test_solve_exact_long_path_and_odd_cycle_need_no_recursion():
     assert verify(path, PackingSequence.parse("1^2"), res.coloring) == []
     res = solve_exact(generate_named("c1501"), PackingSequence.parse("1^2"))
     assert (res.status, res.nodes) == ("unsat", 1500)
+
+
+def test_solve_exact_memory_is_linear_in_m():
+    # m-bit state per class or per edge would grow 64x from n = 1000 to 8000
+    peaks = []
+    for n in (1000, 8000):
+        g = random_cubic(n, 1)
+        g.neighborhoods(1)
+        g.neighborhoods(2)
+        tracemalloc.start()
+        try:
+            res = solve_exact(g, SEQ_12_24, budget=g.m // 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (res.status, res.nodes) == ("unknown", g.m // 2 + 1)
+    assert peaks[1] <= 16 * peaks[0]
 
 
 def test_solve_exact_empty_graph():
