@@ -22,6 +22,15 @@ vertex's freedom under a move is read from free0 plus the bits its removals
 free, exchanged at the ends of the swapped component, with no per-move
 closure.  The pieces a removal cuts from a path or cycle are found by
 position arithmetic on the component's walk order.
+
+Most two-removal pairs of a long union cycle can only re-add what they
+removed: under every swap, no leftover edge at a vertex the pair touches fits
+a tag.  _trivial_pair_ticks settles such a pair from two more per-vertex
+tables (the far ends of each vertex's leftover edges, and the OR of their
+free0) without building its pieces, swaps or candidate lists, and charges in
+one _Counter.tick(k) the ticks the candidate loops would spend on it.  A
+charge that overruns the budget leaves the counter at cap + 1, where a run
+of single ticks stops, so moves and ticks stay those of the loops.
 """
 
 from __future__ import annotations
@@ -103,7 +112,12 @@ class Move:
 
 @dataclass
 class SearchResult:
-    """local_search outcome; stable is False when the budget ran out first."""
+    """local_search outcome; stable is False when the budget ran out first.
+
+    evaluations is the number of scan ticks charged over all starts: one per
+    candidate step the scanner tries and one per objective evaluation that
+    misses the memo, so it counts more than objective evaluations.
+    """
 
     pair: MatchingPair
     stable: bool
@@ -294,7 +308,7 @@ def _components_from_labels(g, label):
 # ---------------------------------------------------------------------------
 
 class BudgetExhausted(Exception):
-    """Raised internally when the move-evaluation budget runs out."""
+    """Raised internally when the scan's tick budget runs out."""
 
 
 class _Counter:
@@ -307,6 +321,8 @@ class _Counter:
     def tick(self, k=1):
         self.used += k
         if self.cap is not None and self.used > self.cap:
+            # a bulk charge stops where a run of single ticks would have
+            self.used = self.cap + 1
             raise BudgetExhausted
 
 
@@ -364,31 +380,36 @@ class _State:
         self.pieces = {}
 
 
-def _pieces(comp, gone):
-    """Path pieces (rep, ends) of a path or cycle component once the edges at
-    the ascending positions gone are removed.
+def _piece_bounds(comp, gone):
+    """(lo, hi, ends) of each piece a path or cycle component falls into once
+    the edges at the ascending positions gone are removed: the piece keeps
+    positions lo + 1 .. hi - 1, taken mod len(comp.edges), and ends are its
+    two end vertices.
 
     The kept edges between consecutive removed positions form one piece; in a
     cycle the piece after the last removed position wraps through position 0.
     """
-    edges, verts = comp.edges, comp.verts
-    k = len(edges)
+    verts = comp.verts
+    k = len(comp.edges)
     if comp.is_cycle:
         bounds = zip(gone, gone[1:] + (gone[0] + k,))
     else:
         cuts = (-1, *gone, k)
         bounds = zip(cuts, cuts[1:])
+    # a cycle's verts end with verts[k] == verts[0]
+    return [(lo, hi, (verts[lo + 1], verts[hi - k if hi > k else hi]))
+            for lo, hi in bounds if hi - lo >= 2]
+
+
+def _pieces(comp, gone):
+    """Path pieces (rep, ends) of a path or cycle component once the edges at
+    the ascending positions gone are removed."""
+    edges = comp.edges
+    k = len(edges)
     pieces = []
-    for lo, hi in bounds:
-        # kept positions lo + 1 .. hi - 1, taken mod k
-        if hi - lo < 2:
-            continue
-        if hi <= k:
-            rep = min(edges[lo + 1:hi])
-        else:
-            rep = min(edges[lo + 1:] + edges[:hi - k])
-        # a cycle's verts end with verts[k] == verts[0]
-        pieces.append((rep, (verts[lo + 1], verts[hi - k if hi > k else hi])))
+    for lo, hi, ends in _piece_bounds(comp, gone):
+        kept = edges[lo + 1:hi] if hi <= k else edges[lo + 1:] + edges[:hi - k]
+        pieces.append((min(kept), ends))
     return pieces
 
 
@@ -461,6 +482,91 @@ def _addition_candidates(state, sites, removals, ends):
     return out
 
 
+def _pair_tables(state):
+    """Per-vertex tables for _trivial_pair_ticks, built in O(n + m): snbr[v]
+    holds the far ends of v's leftover edges and fitm[v] the OR of free0 over
+    them."""
+    edges = state.g.edges
+    free0 = state.free0
+    snbr, fitm = [], []
+    for v, spare in enumerate(state.spare):
+        far = tuple(sum(edges[e]) - v for e in spare)
+        bits = 0
+        for w in far:
+            bits |= free0[w]
+        snbr.append(far)
+        fitm.append(bits)
+    return snbr, fitm
+
+
+_POPCOUNT = (0, 1, 1, 2)
+# ticks the two-removal loops spend on n candidates that all re-add x1 or x2:
+# every duo is tried and none changes the union; no trio is compatible
+_DUO_TICKS = (0, 0, 1, 3, 6)
+_TRIO_TICKS = (0, 0, 0, 1, 4)
+
+
+def _trivial_pair_ticks(state, tables, x1, x2, s, a):
+    """The ticks the two-removal loops spend on the pair (x1, x2), or None
+    unless every configuration of the pair is provably move-free.
+
+    A configuration is the two removals plus one swap: none, or a piece cut
+    from their components.  Its touched vertices are the endpoints of x1 and
+    x2 and the swap's ends, with their freedom as _addition_candidates reads
+    it (both tags at an endpoint the removals share).  The pair is settled
+    when no leftover edge joins two endpoints of the removals and, in every
+    configuration, freedom[v] & fitm[v] == 0 at each touched v.  Then the
+    only candidates are re-adds of x1 and x2, at most two each: two of any
+    three share an edge, so no trio is compatible, and a compatible duo
+    re-adds both and restores the union.  The loops so evaluate nothing and
+    return nothing, after one tick for the pair plus C(n, 3) (with a >= 3)
+    and C(n, 2) per configuration of n candidates.
+
+    A leftover edge at a touched v fits nothing when its far end is
+    untouched, as fitm[v] covers that end's free0.  Nor is a settled pair's
+    removal endpoint v joined by a leftover edge to a path end w of the
+    union, which is the only way to touch a path piece's loose end or to
+    reach an adjacent-component swap: free0[w] is one bit, so v passes only
+    with the other bit alone, and the piece that ends at v flips it onto
+    free0[w] (v's freedom has both bits when no piece ends there).  Piece
+    ends come from position arithmetic; the pieces' reps are never needed.
+    """
+    snbr, fitm = tables
+    edges = state.g.edges
+    free0 = state.free0
+    label = state.label
+    a1, b1 = edges[x1]
+    a2, b2 = edges[x2]
+    freedom = {}
+    for x in (x1, x2):
+        for v in edges[x]:
+            freedom[v] = freedom.get(v, free0[v]) | label[x]
+    for v, f in freedom.items():
+        if f & fitm[v] or not freedom.keys().isdisjoint(snbr[v]):
+            return None
+    trio = a >= 3
+    n = _POPCOUNT[freedom[a1] & freedom[b1]] + _POPCOUNT[freedom[a2] & freedom[b2]]
+    ticks = 1 + _DUO_TICKS[n] + (_TRIO_TICKS[n] if trio else 0)
+    if s < 1:
+        return ticks
+    comps, comp_of, comp_pos = state.comps, state.comp_of, state.comp_pos
+    c1, c2 = comp_of[x1], comp_of[x2]
+    p1, p2 = comp_pos[x1], comp_pos[x2]
+    if c1 != c2:
+        bounds = _piece_bounds(comps[c1], (p1,)) + _piece_bounds(comps[c2], (p2,))
+    else:
+        bounds = _piece_bounds(comps[c1], (p1, p2) if p1 < p2 else (p2, p1))
+    for _, _, ends in bounds:
+        swapped = dict(freedom)
+        for v in ends:
+            f = swapped[v] = _SWAP_BITS[freedom.get(v, free0[v])]
+            if f & fitm[v]:
+                return None
+        n = _POPCOUNT[swapped[a1] & swapped[b1]] + _POPCOUNT[swapped[a2] & swapped[b2]]
+        ticks += _DUO_TICKS[n] + (_TRIO_TICKS[n] if trio else 0)
+    return ticks
+
+
 def _eval_mask(state, mask, memo):
     key = memo.get(mask)
     if key is None:
@@ -481,7 +587,9 @@ def _find_improving_move(state, r, s, a, memo):
     move once the earlier stages came up empty: pairs whose removals each
     admit some addition candidate on their own, and pairs linked by a
     potential cross addition between their freed endpoints.  Any other pair
-    only reaches unions already examined by the one-removal stage.
+    only reaches unions already examined by the one-removal stage.  A pair
+    whose candidates can only re-add its own removals is settled by
+    _trivial_pair_ticks, which charges the ticks its loops would spend.
 
     Two additions clash when they are the same edge, or share an endpoint
     and a tag; that check is made inline, _compatible serves the trios.
@@ -584,7 +692,12 @@ def _find_improving_move(state, r, s, a, memo):
                     for i2 in range(i1 + 1, len(es)):
                         pairs.add((es[i1], es[i2]))
         comp_of, comp_pos = state.comp_of, state.comp_pos
+        tables = _pair_tables(state)
         for x1, x2 in sorted(pairs):
+            trivial = _trivial_pair_ticks(state, tables, x1, x2, s, a)
+            if trivial is not None:
+                tick(trivial)
+                continue
             tick()
             removals = ((x1, label[x1]), (x2, label[x2]))
             base_sites = edges[x1] + edges[x2]
@@ -646,7 +759,7 @@ def local_search(g, seed, budget=200_000):
 
     Runs from greedy_init(seed), accepting the first improving move found in
     the deterministic scan order of the full (2,1,3) neighborhood until none
-    exists.  When a start exhausts its move-evaluation budget before reaching
+    exists.  When a start exhausts its tick budget before reaching
     stability, the search restarts from greedy_init(seed + i), 20 starts in
     all; after the last one the best pair seen is returned flagged
     not-stable.  The result is never worse than the greedy pair it

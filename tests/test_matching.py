@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
@@ -295,6 +296,95 @@ def test_scanner_agrees_with_reference_scanner():
                 wrapped += cuts[1]
     assert checked >= 1000
     assert adjacent > 0 and wrapped > 0
+
+
+def _two_removal_swaps(state, x1, x2, s):
+    """The (rep, ends) swaps the two-removal stage tries for the pair."""
+    swaps = [(None, ())]
+    if s >= 1:
+        removals = ((x1, state.label[x1]), (x2, state.label[x2]))
+        c1, c2 = state.comp_of[x1], state.comp_of[x2]
+        if c1 != c2:
+            pieces = (matching._single_pieces(state, x1)
+                      + matching._single_pieces(state, x2))
+        else:
+            gone = tuple(sorted((state.comp_pos[x1], state.comp_pos[x2])))
+            pieces = matching._pieces(state.comps[c1], gone)
+        edges = state.g.edges
+        swaps += matching._swap_candidates(state, removals, pieces,
+                                           edges[x1] + edges[x2])
+    return swaps
+
+
+def test_trivial_pair_ticks_match_the_candidate_loops():
+    # every removal pair the per-vertex rule settles, rebuilt from the scan's
+    # own swap and candidate lists: only x1/x2 re-adds appear, and the charge
+    # is what the loops tick for them
+    settled = fallback = loose_ends = 0
+    for pair in _scanner_cases():
+        state = matching._State(pair, matching._Counter())
+        tables = matching._pair_tables(state)
+        edges = pair.graph.edges
+        ends_of = {v for c in state.comps for v in c.ends}
+        for i, x1 in enumerate(state.u_edges):
+            for x2 in state.u_edges[i + 1:]:
+                removals = ((x1, state.label[x1]), (x2, state.label[x2]))
+                base_sites = edges[x1] + edges[x2]
+                for _, s, a in ((2, 1, 3), (2, 1, 2), (2, 0, 2)):
+                    ticks = matching._trivial_pair_ticks(state, tables, x1, x2, s, a)
+                    if ticks is None:
+                        fallback += 1
+                        continue
+                    settled += 1
+                    want = 1
+                    for _, ends in _two_removal_swaps(state, x1, x2, s):
+                        cands = matching._addition_candidates(
+                            state, base_sites + ends, removals, ends)
+                        assert {e for e, _ in cands} <= {x1, x2}, (pair, x1, x2)
+                        n = len(cands)
+                        want += comb(n, 2) + (comb(n, 3) if a >= 3 else 0)
+                        loose_ends += any(v in ends_of for v in ends)
+                    assert ticks == want, (pair, x1, x2, s, a)
+    assert settled > 10_000 and fallback > 10_000
+    assert loose_ends > 1_000
+
+
+def test_counter_bulk_tick_stops_where_single_ticks_do():
+    bulk = matching._Counter(5)
+    bulk.tick(3)
+    with pytest.raises(matching.BudgetExhausted):
+        bulk.tick(4)
+    single = matching._Counter(5)
+    with pytest.raises(matching.BudgetExhausted):
+        for _ in range(7):
+            single.tick()
+    assert bulk.used == single.used == 6
+
+
+# Two-removal _addition_candidates calls over the stable pairs below, made by
+# the scanner before it settled trivial pairs from per-vertex tables.
+_TWO_REMOVAL_LISTS_BEFORE = 11_644
+
+
+def test_trivial_pair_rule_skips_most_two_removal_lists(monkeypatch):
+    pairs = []
+    for n in (20, 30, 40):
+        for seed in range(3):
+            res = local_search(random_cubic(n, seed), seed)
+            assert res.stable
+            pairs.append(res.pair)
+    built = 0
+    build = matching._addition_candidates
+
+    def counted(state, sites, removals, ends):
+        nonlocal built
+        built += len(removals) == 2
+        return build(state, sites, removals, ends)
+
+    monkeypatch.setattr(matching, "_addition_candidates", counted)
+    for pair in pairs:
+        assert find_improving_move(pair) is None
+    assert built <= 0.6 * _TWO_REMOVAL_LISTS_BEFORE
 
 
 def _local_search_reference(g, seed, budget):
