@@ -5,10 +5,12 @@ it is switch-stable, build the conflict graph H over the leftover edges,
 4-color H exactly, and assemble the six classes.  The final coloring is
 checked by the verifier, which knows nothing about how it was produced.
 
-solve_pipeline tries a cheaper tier before this route: a randomized greedy
-pair, whose H is colored by searching only its 4-core (a vertex of H with
-fewer than 4 neighbors can always be colored last).  The last lines show
-which tier answered.
+solve_pipeline needs only an H that colors, not a switch-stable pair.  It
+first tries a randomized greedy pair, whose H is colored by searching only
+its 4-core (a vertex of H with fewer than 4 neighbors can always be colored
+last); if no greedy pair colors, it repairs them with the switch moves of the
+search above, stopping at the first H that colors.  The last lines show which
+tier answered.
 """
 
 from edgepack import (SEQ_12_24, build_conflict_graph, classify_components,
@@ -46,10 +48,10 @@ sizes = [len(c) for c in coloring.classes(6)]
 print(f"assembled class sizes: {sizes} (two matchings + four induced matchings)")
 print(f"verifier violations: {verify(g, SEQ_12_24, coloring)}")
 
-# the one-call version: the greedy tier, then the route above, then exact
+# the one-call version: the greedy tier, then the switch repair, then exact
 res = solve_pipeline(g, SEED)
 tiers = {"greedy": "greedy pair, only the 4-core of H searched",
-         "pipeline": "switch-stable pair, the route above",
+         "pipeline": "greedy pair repaired by switch moves until H colors",
          "fallback": "exact search on G"}
 print(f"\nsolve_pipeline: status={res.status}, answered by tier "
       f"{res.method!r} ({tiers[res.method]})")

@@ -21,7 +21,7 @@ import traceback
 
 from . import audit as audit_mod
 from . import graph as graph_mod
-from .matching import local_search
+from .matching import _START_TICKS, local_search
 from .solver import (EdgeColoring, PackingSequence, SEQ_12_24, solve_exact,
                      solve_pipeline, verify)
 
@@ -273,8 +273,8 @@ def build_parser():
 
     p = sub.add_parser("audit", help="local search plus structural audit")
     add_common(p)
-    p.add_argument("--budget", type=int, default=200_000,
-                   help="move evaluations per start of the switch search")
+    p.add_argument("--budget", type=int, default=_START_TICKS,
+                   help="scan ticks per start of the switch search")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("batch", help="run a solver over many graphs")

@@ -27,8 +27,7 @@ class Graph:
     read-only after construction.
     """
 
-    __slots__ = ("n", "m", "edges", "adj", "_index", "_incident", "_nbr_cache",
-                 "_mask_cache")
+    __slots__ = ("n", "m", "edges", "adj", "_incident", "_nbr_cache", "_mask_cache")
 
     def __init__(self, edge_pairs, n=None):
         norm = set()
@@ -47,7 +46,6 @@ class Graph:
         self.n = n
         self.m = len(edges)
         self.edges = edges
-        self._index = {e: i for i, e in enumerate(edges)}
         adj = [[] for _ in range(n)]
         incident = [[] for _ in range(n)]
         for i, (u, v) in enumerate(edges):
@@ -80,15 +78,20 @@ class Graph:
         return self._incident[v]
 
     def edge_id(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"no edge {u}-{v}") from None
+        """EdgeId of edge u-v, found among the incident edges of its endpoint
+        of lower degree; a non-edge raises KeyError."""
+        if 0 <= u < self.n and 0 <= v < self.n:
+            key = (u, v) if u < v else (v, u)
+            inc = self._incident
+            for e in inc[u] if len(inc[u]) <= len(inc[v]) else inc[v]:
+                if self.edges[e] == key:
+                    return e
+        raise KeyError(f"no edge {u}-{v}")
 
     def has_edge(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        return key in self._index
+        adj = self.adj
+        return (0 <= u < self.n and 0 <= v < self.n
+                and (v in adj[u] if len(adj[u]) <= len(adj[v]) else u in adj[v]))
 
     def endpoints(self, e):
         return self.edges[e]

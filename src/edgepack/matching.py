@@ -752,9 +752,20 @@ def find_improving_move(pair, r=2, s=1, a=3):
 
 
 _RESTARTS = 20
+_START_TICKS = 200_000
 
 
-def local_search(g, seed, budget=200_000):
+def _switch_walk(pair, counter, memo):
+    """Yield pair, then the pair after each first-improving move of the full
+    (2,1,3) scan, ending at a switch-stable pair.  Every scan builds a fresh
+    _State on the shared counter and memo; BudgetExhausted propagates."""
+    yield pair
+    while (move := _find_improving_move(_State(pair, counter), 2, 1, 3, memo)) is not None:
+        pair = apply_move(pair, move)
+        yield pair
+
+
+def local_search(g, seed, budget=_START_TICKS):
     """First-improvement local search to switch-stability.
 
     Runs from greedy_init(seed), accepting the first improving move found in
@@ -771,25 +782,17 @@ def local_search(g, seed, budget=200_000):
     best_key = None
     total = 0
     for i in range(_RESTARTS):
-        pair = greedy_init(g, seed + i)
         counter = _Counter(budget)
-        tripped = False
-        while True:
-            state = _State(pair, counter)
-            try:
-                move = _find_improving_move(state, 2, 1, 3, memo)
-            except BudgetExhausted:
-                tripped = True
-                break
-            if move is None:
-                break
-            pair = apply_move(pair, move)
+        try:
+            for pair in _switch_walk(greedy_init(g, seed + i), counter, memo):
+                pass
+        except BudgetExhausted:
+            key = union_objective_key(g, pair.union_mask())
+            if best_key is None or key < best_key:
+                best_pair, best_key = pair, key
+        else:
+            return SearchResult(pair, True, total + counter.used, i + 1)
         total += counter.used
-        if not tripped:
-            return SearchResult(pair, True, total, i + 1)
-        key = union_objective_key(g, pair.union_mask())
-        if best_key is None or key < best_key:
-            best_pair, best_key = pair, key
     return SearchResult(best_pair, False, total, _RESTARTS)
 
 

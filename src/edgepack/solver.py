@@ -11,11 +11,13 @@ distance rule.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import islice
 
 from .conflict import _peel_color, build_conflict_graph
 from .graph import _smallest_last, edge_distance
-from .matching import greedy_init, local_search
+from .matching import BudgetExhausted, _Counter, _START_TICKS, _switch_walk, greedy_init
 
 
 @dataclass(frozen=True)
@@ -289,13 +291,14 @@ def solve_pipeline(g, seed, exact_budget=50_000_000):
     Three tiers, each tried only when the one before it fails:
 
     1. "greedy": greedy_init(g, seed + a) for a in range(_RETRIES);
-    2. "pipeline": the paper's route, local_search(g, seed + a) to a
-       switch-stable pair for a in range(_RETRIES);
+    2. "pipeline": the paper's switch moves repair the same pairs, with H
+       colored after every move, up to the first H that colors, a
+       switch-stable pair, or the end of one local_search start's tick budget;
     3. "fallback": solve_exact on g, within exact_budget nodes.
 
     In the first two tiers H is colored by searching only its 4-core
     (_peel_color, node-budgeted); an "unsat" or "unknown" answer moves on to
-    the next seed, so neither tier can hang on a hard H.
+    the next pair, so neither tier can hang on a hard H.
 
     SolveResult.method names the tier that answered, and nodes sums the
     coloring and exact-search nodes of every tier tried.  Any coloring
@@ -304,17 +307,18 @@ def solve_pipeline(g, seed, exact_budget=50_000_000):
     """
     g.require_subcubic("solve_pipeline")
     nodes = 0
-    tiers = (("greedy", greedy_init),
-             ("pipeline", lambda g, s: local_search(g, s).pair))
-    for method, find_pair in tiers:
+    # each tier slices a walk per attempt; the start pair itself costs no scan
+    for method, start, stop in (("greedy", 0, 1), ("pipeline", 1, None)):
         for attempt in range(_RETRIES):
-            pair = find_pair(g, seed + attempt)
-            col = _peel_color(build_conflict_graph(g, pair))
-            nodes += col.nodes
-            if col.sat:
-                coloring = assemble(pair, col.colors)
-                if not verify(g, SEQ_12_24, coloring):
-                    return SolveResult("sat", coloring, nodes, method)
+            walk = _switch_walk(greedy_init(g, seed + attempt), _Counter(_START_TICKS), {})
+            with suppress(BudgetExhausted):
+                for pair in islice(walk, start, stop):
+                    col = _peel_color(build_conflict_graph(g, pair))
+                    nodes += col.nodes
+                    if col.sat:
+                        coloring = assemble(pair, col.colors)
+                        if not verify(g, SEQ_12_24, coloring):
+                            return SolveResult("sat", coloring, nodes, method)
     fb = solve_exact(g, SEQ_12_24, budget=exact_budget)
     if fb.status == "sat" and verify(g, SEQ_12_24, fb.coloring):
         raise AssertionError("exact fallback produced an invalid coloring")

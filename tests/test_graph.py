@@ -42,6 +42,14 @@ def test_edge_ids_are_sorted_endpoint_pairs():
     g = parse_edge_list("2 1\n0 2\n0 1")
     assert g.edges == ((0, 1), (0, 2), (1, 2))
     assert g.edge_id(2, 0) == 1
+    assert g.has_edge(1, 2) and not g.has_edge(1, 1)
+    # a non-edge, an out-of-range or a negative id raises KeyError: no
+    # IndexError, and no wrap-around to the last vertex
+    g = Graph([(0, 1), (1, 2), (2, 3), (3, 4)])
+    for u, v in ((0, 2), (0, 0), (0, 5), (7, 9), (-1, 0), (4, -1), (-2, -1)):
+        assert not g.has_edge(u, v) and not g.has_edge(v, u)
+        with pytest.raises(KeyError, match=f"^'no edge {u}-{v}'$"):
+            g.edge_id(u, v)
 
 
 def test_round_trip_serialization():

@@ -9,11 +9,12 @@ import tracemalloc
 import pytest
 
 from edgepack import (EdgeColoring, Graph, MatchingPair, PackingSequence,
-                      SEQ_12_24, SearchResult, assemble, build_conflict_graph,
-                      color_exact, exact_max_union, generate_named, greedy_init,
-                      local_search, max_induced_matching, parse_edge_list,
-                      random_cubic, solve_exact, solve_pipeline, verify)
-from edgepack import conflict
+                      SEQ_12_24, assemble, build_conflict_graph,
+                      color_exact, exact_max_union, find_improving_move,
+                      generate_named, greedy_init, local_search,
+                      max_induced_matching, parse_edge_list, random_cubic,
+                      solve_exact, solve_pipeline, verify)
+from edgepack import conflict, matching
 from edgepack.graph import _smallest_last
 from oracles import (degeneracy_order_reference, enumerate_packing_colorable,
                      sample_subcubic_instances, solve_exact_reference)
@@ -294,19 +295,20 @@ def test_pipeline_escalates_past_a_failing_greedy_tier(monkeypatch):
 
 
 def test_pipeline_switch_tier_cannot_hang_on_a_hard_h(monkeypatch):
-    # both pair finders are patched to a pair whose H is not 4-colored: the
-    # switch tier must give up through the budgeted core coloring and hand
-    # over to the exact fallback.  The empty pair's H holds a K5; the greedy
-    # pair's H below has a 96-vertex 4-core that the budget cannot settle and
-    # an unbudgeted color_exact did not settle in minutes
+    # the pair finder is patched to a pair whose H is not 4-colored, and the
+    # switch walk to one that counts every start as stable: the pipeline must
+    # give up through the budgeted core coloring and hand over to the exact
+    # fallback.  The empty pair's H holds a K5; the greedy pair's H below has
+    # a 96-vertex 4-core that the budget cannot settle and an unbudgeted
+    # color_exact did not settle in minutes
     hard_g = random_cubic(150, 7011)
     hard = greedy_init(hard_g, 11)
     cases = ((random_cubic(10, 1), lambda g, seed: MatchingPair(g, (), ()), 8),
              (hard_g, lambda g, seed: hard, 1))
     for g, pair_of, retries in cases:
         monkeypatch.setattr("edgepack.solver.greedy_init", pair_of)
-        monkeypatch.setattr("edgepack.solver.local_search",
-                            lambda g, seed: SearchResult(pair_of(g, seed), True, 0, 1))
+        monkeypatch.setattr("edgepack.solver._switch_walk",
+                            lambda pair, counter, memo: (pair,))
         monkeypatch.setattr("edgepack.solver._RETRIES", retries)
         t0 = time.perf_counter()
         res = solve_pipeline(g, 0)
@@ -315,6 +317,47 @@ def test_pipeline_switch_tier_cannot_hang_on_a_hard_h(monkeypatch):
         assert verify(g, SEQ_12_24, res.coloring) == []
         if g.n == 10:
             assert elapsed < 1.0
+
+
+def test_pipeline_switch_tier_stops_at_the_first_pair_that_colors(monkeypatch):
+    # the greedy pair's 96-vertex 4-core defeats the budgeted coloring; a few
+    # switch moves from that same pair reach an H that colors, and the switch
+    # tier stops there instead of walking on to a switch-stable pair
+    hard_g = random_cubic(150, 7011)
+    hard = greedy_init(hard_g, 11)
+    monkeypatch.setattr("edgepack.solver.greedy_init", lambda g, seed: hard)
+    moves = []
+    apply_move = matching.apply_move
+
+    def counted(pair, move):
+        moves.append(move)
+        return apply_move(pair, move)
+
+    monkeypatch.setattr("edgepack.matching.apply_move", counted)
+    res = solve_pipeline(hard_g, 0)
+    assert (res.status, res.method) == ("sat", "pipeline")
+    assert verify(hard_g, SEQ_12_24, res.coloring) == []
+    assert 1 <= len(moves) <= 5
+
+
+def test_switch_stable_pair_below_the_threshold_with_a_k5_conflict_graph(monkeypatch):
+    # n = 10 lies below the paper's 70-vertex threshold: this greedy pair is
+    # switch-stable, yet its H is K5, while G itself is (1^2,2^4)-colorable.
+    # The switch tier stops at the stable pair and the exact fallback answers
+    g = random_cubic(10, 100420)
+    pair = greedy_init(g, 420)
+    assert find_improving_move(pair) is None
+    h = build_conflict_graph(g, pair)
+    assert (h.n, h.edge_count) == (5, 10)
+    assert color_exact(h, 4).status == "unsat"
+    assert solve_exact(g, SEQ_12_24).status == "sat"
+    monkeypatch.setattr("edgepack.solver.greedy_init", lambda g, seed: pair)
+    t0 = time.perf_counter()
+    res = solve_pipeline(g, 0)
+    elapsed = time.perf_counter() - t0
+    assert (res.status, res.method) == ("sat", "fallback")
+    assert verify(g, SEQ_12_24, res.coloring) == []
+    assert elapsed < 1.0
 
 
 def test_pipeline_greedy_tier_at_scale():
