@@ -16,10 +16,9 @@ check_lemmas and compute_charges read one view of the leftover graph
 G - M1 - M2: its classified components (build_leftover), each vertex's
 leftover neighbors, and the list of union links, the M1 u M2 edges whose
 two ends both lie in leftover components.  The link predicates and the R0
-transfers are filters over that list; the rule for union edges joining two
-P3 middles is the one the search objective counts with
-(leftover._middle_links).  Every audit raises ValueError when the pair
-belongs to another graph.
+transfers are filters over that list; _middle_links lists the union edges
+joining two P3 middles, the edges the search objective's last term counts.
+Every audit raises ValueError when the pair belongs to another graph.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .conflict import build_conflict_graph
-from .leftover import K13, P3, P4, VIOLATION, _middle_links, build_leftover
+from .leftover import K13, P3, P4, VIOLATION, build_leftover
 from .matching import find_improving_move
 
 
@@ -139,6 +138,16 @@ def _leftover_view(g, pair):
     return lg, lnbr, links
 
 
+def _middle_links(g, union_edges, middles):
+    """Yield (comp, comp, edge) for each union edge, in the given order, that
+    joins the middles of two different P3 components; middles maps each P3
+    middle vertex to its component index."""
+    for e in union_edges:
+        x, y = g.endpoints(e)
+        if x in middles and y in middles and middles[x] != middles[y]:
+            yield middles[x], middles[y], e
+
+
 def _first(witnesses):
     """The predicate result for the first violation witness, if any."""
     witness = next(witnesses, None)
@@ -162,32 +171,19 @@ def check_lemmas(g, pair, stability=None):
     lg, lnbr, links = _leftover_view(g, pair)
     comps = lg.components
 
-    no_c1 = PredicateResult(True)
-    for e in lg.edges:
-        for v, w in (g.endpoints(e), g.endpoints(e)[::-1]):
-            mids = [x for x in lnbr[v] if x != w]
-            tail = [x for x in lnbr[w] if x != v]
-            if len(mids) >= 2:
+    # a leftover edge vw, two more at v, and one at w to a vertex other than their ends
+    def c1_witnesses():
+        for e in lg.edges:
+            for v, w in (g.endpoints(e), g.endpoints(e)[::-1]):
+                mids = [x for x in lnbr[v] if x != w]
+                if len(mids) < 2:
+                    continue
                 u1, u2 = mids[0], mids[1]
-                for x in tail:
-                    if x not in (u1, u2):
-                        no_c1 = PredicateResult(False, {
-                            "vertices": [u1, u2, v, w, x],
-                            "edges": [g.edge_id(u1, v), g.edge_id(u2, v), e, g.edge_id(w, x)]})
-                        break
-            if not no_c1.holds:
-                break
-        if not no_c1.holds:
-            break
-
-    no_cycle = PredicateResult(True)
-    for comp in comps:
-        if comp.kind == VIOLATION and comp.reason == "cycle":
-            no_cycle = PredicateResult(False, {"edges": list(comp.edges),
-                                               "vertices": list(comp.vertices)})
-            break
-
-    no_long_path = PredicateResult(True)
+                for x in lnbr[w]:
+                    if x not in (v, u1, u2):
+                        yield {"vertices": [u1, u2, v, w, x],
+                               "edges": [g.edge_id(u1, v), g.edge_id(u2, v), e,
+                                         g.edge_id(w, x)]}
 
     def dfs_path(v, path):
         if len(path) == 5:
@@ -201,13 +197,12 @@ def check_lemmas(g, pair, stability=None):
                 path.pop()
         return None
 
-    for start in range(g.n):
-        if not lnbr[start]:
-            continue
-        got = dfs_path(start, [start])
-        if got:
-            no_long_path = PredicateResult(False, {"vertices": got})
-            break
+    no_c1 = _first(c1_witnesses())
+    no_cycle = _first({"edges": list(c.edges), "vertices": list(c.vertices)}
+                      for c in comps if c.kind == VIOLATION and c.reason == "cycle")
+    no_long_path = _first({"vertices": got}
+                          for got in (dfs_path(v, [v]) for v in range(g.n) if lnbr[v])
+                          if got)
 
     def kind_link(kind_a, kind_b):
         return _first(

@@ -24,10 +24,11 @@ class Graph:
 
     Vertices are 0..n-1.  Parallel edges and loops are rejected.  Instances
     are safe to share between concurrent computations; every method here is
-    read-only after construction.
+    read-only after construction, apart from filling the per-radius cache
+    of neighborhoods, whose tables take O(m) memory on subcubic graphs.
     """
 
-    __slots__ = ("n", "m", "edges", "adj", "_incident", "_nbr_cache", "_mask_cache")
+    __slots__ = ("n", "m", "edges", "adj", "_incident", "_nbr_cache")
 
     def __init__(self, edge_pairs, n=None):
         norm = set()
@@ -56,7 +57,6 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._incident = tuple(tuple(a) for a in incident)
         self._nbr_cache = {}
-        self._mask_cache = {}
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -139,22 +139,6 @@ class Graph:
         out = tuple(out)
         self._nbr_cache[radius] = out
         return out
-
-    def distance_masks(self, radius):
-        """Bitmask view of neighborhoods(radius), for the small-m bitset code:
-        union_objective_key, exact_max_union and max_induced_matching.
-
-        Cached per radius; mask bit f of entry e is set iff f != e and
-        d(e, f) <= radius.  Each mask is m bits wide, so large graphs should
-        use neighborhoods instead.
-        """
-        cached = self._mask_cache.get(radius)
-        if cached is not None:
-            return cached
-        bit = [1 << f for f in range(self.m)].__getitem__
-        masks = tuple(sum(map(bit, near)) for near in self.neighborhoods(radius))
-        self._mask_cache[radius] = masks
-        return masks
 
 
 def _components(adj):

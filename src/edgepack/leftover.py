@@ -83,16 +83,6 @@ def _middle(g, edges):
     return a if a in (c, d) else b
 
 
-def _middle_links(g, union_edges, middles):
-    """Yield (comp, comp, edge) for each union edge, in the given order, that
-    joins the middles of two different P3 components; middles maps each P3
-    middle vertex to its component index."""
-    for e in union_edges:
-        x, y = g.endpoints(e)
-        if x in middles and y in middles and middles[x] != middles[y]:
-            yield middles[x], middles[y], e
-
-
 def _walk(g, left):
     """Yield (edges, vertex set) for each connected component of the edge
     set left, in order of each component's smallest edge when left is

@@ -4,7 +4,11 @@ A MatchingPair holds two edge-disjoint matchings M1, M2 of a subcubic graph.
 The search objective maximizes |M1 u M2| and then lexicographically minimizes
 (edges of the conflict graph H, three-edge-path components of the leftover
 graph, triangles of H, middle-joined P3 pairs).  Every quantity in the tuple
-depends only on the union M1 u M2, not on which matching an edge sits in.
+depends only on the union M1 u M2, not on which matching an edge sits in, so
+union_objective_key takes the union as an m-bit mask, which the scan also
+uses as its memo key.  The key reads H from Graph.neighborhoods(2) and the
+P3 and P4 components from leftover degrees, in O(n + m) per call; no
+per-graph m-bit table is built.
 
 Moves remove up to two matched edges, optionally exchange the M1/M2 labels on
 one component of the post-removal union graph, and add up to three edges into
@@ -38,8 +42,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-
-from .leftover import P3, P4, _classify, _middle, _middle_links, _walk
 
 
 class MatchingPair:
@@ -83,10 +85,7 @@ class MatchingPair:
         return self.m1 | self.m2
 
     def union_mask(self):
-        mask = 0
-        for e in self.m1 | self.m2:
-            mask |= 1 << e
-        return mask
+        return _mask(self.m1 | self.m2, self.graph.m)
 
     def __eq__(self, other):
         return (isinstance(other, MatchingPair) and self.graph == other.graph
@@ -143,13 +142,18 @@ def greedy_init(g, seed):
 
 
 def _ids(mask):
-    """The set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The set bits of mask, ascending; one pass over its binary digits."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _mask(edges, m):
+    """The m-bit mask with bit e set for each e in edges, built in O(m)."""
+    if not m:
+        return 0
+    digits = bytearray(b"0" * m)
+    for e in edges:
+        digits[m - 1 - e] = 49   # ord("1"); digits run from bit m - 1 down
+    return int(digits, 2)
 
 
 def union_objective_key(g, u_mask):
@@ -158,43 +162,59 @@ def union_objective_key(g, u_mask):
     The key is (-|M1 u M2|, edges of H, P4 components of the leftover graph,
     triangles of H, union edges joining the middles of two P3 components);
     smaller is better.
+
+    It reads g.neighborhoods(2) and per-vertex degrees of the leftover
+    graph, with no component walk.  ld[v] is v's leftover degree and s[v] the
+    sum of ld over v's leftover neighbors.  H's edges are counted once, from
+    the lower end; a triangle is a pair of a leftover edge's higher H
+    neighbors within distance 2 of each other.  Leaves have ld 1, so:
+    - v is the middle of a P3 component iff ld[v] == s[v] == 2 (its two
+      neighbors are leaves), and a P3 has exactly one middle;
+    - a leftover edge uv is the middle edge of a P4 component iff ld[u] ==
+      ld[v] == 2 and s[u] == s[v] == 3 (each end has one leaf besides the
+      other; the two leaves differ, or their common vertex would have ld 2),
+      and a P4 has exactly one middle edge.
+    Two distinct P3 middles lie in distinct components, so each union edge
+    between two of them is a middle-joined pair.  O(n + m) time and memory.
     """
-    masks2 = g.distance_masks(2)
+    near = g.neighborhoods(2)
     m = g.m
-    all_mask = (1 << m) - 1 if m else 0
-    left_mask = all_mask & ~u_mask
-    union_size = u_mask.bit_count()
-
-    left = _ids(left_mask)
-
-    h_edges = 0
+    ends = g.edges
+    left = _ids(u_mask ^ ((1 << m) - 1))
+    is_left = [False] * m
+    ld = [0] * g.n
     for e in left:
-        h_edges += (masks2[e] & left_mask).bit_count()
-    h_edges //= 2
-
-    tri = 0
+        is_left[e] = True
+        u, v = ends[e]
+        ld[u] += 1
+        ld[v] += 1
+    s = [0] * g.n
     for e in left:
-        above = masks2[e] & left_mask & -(1 << (e + 1))
-        nb = above
-        while nb:
-            low = nb & -nb
-            f = low.bit_length() - 1
-            nb ^= low
-            tri += (masks2[f] & above & -(1 << (f + 1))).bit_count()
+        u, v = ends[e]
+        s[u] += ld[v]
+        s[v] += ld[u]
 
-    p4 = 0
-    middles = {}
-    for cid, (edges, verts) in enumerate(_walk(g, left)):
-        kind, _ = _classify(g, verts, edges)
-        if kind == P3:
-            middles[_middle(g, edges)] = cid
-        elif kind == P4:
+    h_edges = tri = p4 = 0
+    for e in left:
+        up = [f for f in near[e] if f > e and is_left[f]]
+        h_edges += len(up)
+        for i in range(1, len(up)):
+            near_f = near[up[i]]
+            for f in up[:i]:
+                if f in near_f:
+                    tri += 1
+        u, v = ends[e]
+        if ld[u] == ld[v] == 2 and s[u] == s[v] == 3:
             p4 += 1
 
     paired = 0
-    if middles:
-        paired = sum(1 for _ in _middle_links(g, _ids(u_mask), middles))
-    return (-union_size, h_edges, p4, tri, paired)
+    for v in range(g.n):
+        if ld[v] == 2 and s[v] == 2:
+            for f in g.incident(v):
+                w = g.other_end(f, v)
+                if not is_left[f] and w > v and ld[w] == 2 and s[w] == 2:
+                    paired += 1
+    return (-(m - len(left)), h_edges, p4, tri, paired)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +377,7 @@ class _State:
         self.cover1 = _cover(g, pair.m1)
         self.cover2 = _cover(g, pair.m2)
         self.u_edges = sorted(pair.union())
-        self.u_mask = 0
-        for e in self.u_edges:
-            self.u_mask |= 1 << e
+        self.u_mask = _mask(self.u_edges, g.m)
         self.comps = _components_from_labels(g, label)
         self.comp_of = {}
         self.comp_pos = {}
@@ -811,8 +829,8 @@ def exact_max_union(g):
     g.require_subcubic("exact_max_union")
     if g.m > _EXACT_MAX_EDGES:
         raise ValueError(f"exact_max_union guard: m={g.m} exceeds {_EXACT_MAX_EDGES}")
-    masks2 = g.distance_masks(2)
     m = g.m
+    masks2 = [_mask(near, m) for near in g.neighborhoods(2)]
     cover = {1: [-1] * g.n, 2: [-1] * g.n}
     assign = [0] * m
     best = {"u": -1, "h": 0, "m1": (), "m2": ()}

@@ -17,7 +17,8 @@ from itertools import islice
 
 from .conflict import _peel_color, build_conflict_graph
 from .graph import _smallest_last, edge_distance
-from .matching import BudgetExhausted, _Counter, _START_TICKS, _switch_walk, greedy_init
+from .matching import (BudgetExhausted, _Counter, _mask, _START_TICKS, _switch_walk,
+                       greedy_init)
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,8 @@ def max_induced_matching(g):
         raise ValueError(f"max_induced_matching guard: m={g.m} exceeds {_INDUCED_MAX_EDGES}")
     if g.m == 0:
         return 0
-    masks2 = g.distance_masks(2)
     m = g.m
+    masks2 = [_mask(near, m) for near in g.neighborhoods(2)]
     best = 0
 
     def rec(e, chosen_mask, count):

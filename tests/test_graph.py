@@ -215,21 +215,6 @@ def test_edge_distance_is_a_metric_per_component():
                         assert d[i][j] <= d[i][k] + d[k][j]
 
 
-def test_distance_masks_match_pairwise_distances():
-    rng = random.Random(5)
-    for _ in range(20):
-        g = _random_graph(rng, rng.randint(3, 8))
-        if g.m == 0:
-            continue
-        for radius in (1, 2, 3):
-            masks = g.distance_masks(radius)
-            for i in range(g.m):
-                want = {j for j in range(g.m)
-                        if j != i and edge_distance(g, i, j) <= radius}
-                got = {b for b in range(g.m) if masks[i] >> b & 1}
-                assert got == want
-
-
 def test_neighborhoods_match_pairwise_distances_and_masks():
     rng = random.Random(6)
     for _ in range(20):
@@ -241,8 +226,6 @@ def test_neighborhoods_match_pairwise_distances_and_masks():
                 want = [j for j in range(g.m)
                         if j != i and edge_distance(g, i, j) <= radius]
                 assert near[i] == tuple(want)
-            assert g.distance_masks(radius) == tuple(
-                sum(1 << f for f in row) for row in near)
     with pytest.raises(ValueError):
         generate_named("c5").neighborhoods(0)
 

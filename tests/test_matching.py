@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -105,14 +106,52 @@ def test_evaluate_c5_example():
     assert t.union_size == 4 and t.h_edges == 0
 
 
+# (leftover edges, union edges); the union edges form one matching
+_LEFTOVER_SHAPES = (
+    ([(0, 1), (1, 2), (0, 2)], []),                            # triangle
+    ([(0, 1), (1, 2), (2, 3), (0, 3)], []),                    # C4
+    ([(0, 1), (1, 2), (2, 3), (3, 4)], []),                    # P5
+    ([(0, 1), (0, 2), (0, 3)], []),                            # K13
+    ([(0, 1), (0, 2), (0, 3), (3, 4)], []),                    # C1 fork
+    ([(0, 1), (1, 2), (2, 3)], [(0, 3)]),                      # P4 closed by a union edge
+    ([(0, 1), (1, 2), (3, 4), (4, 5)], [(1, 4)]),              # two joined P3 middles
+    ([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)], [(1, 4)]),      # P3 middle to a P4 inner vertex
+)
+
+
 def test_evaluate_matches_fast_key_on_random_pairs():
     rng = random.Random(21)
+    pairs = []
     for trial in range(60):
         g = _random_subcubic_graph(rng)
         if g.m == 0:
             continue
-        pair = greedy_init(g, trial)
+        pairs.append(greedy_init(g, trial))
+    # partial pairs on cubic graphs leave long paths and cycles over
+    for i, n in enumerate((10, 10, 20, 20, 30, 40)):
+        g = random_cubic(n, i)
+        pairs += [_random_partial_pair(rng, g) for _ in range(15)]
+    for left, union in _LEFTOVER_SHAPES:
+        g = Graph(left + union)
+        pairs.append(MatchingPair(g, [g.edge_id(u, v) for u, v in union]))
+    for pair in pairs:
+        g = pair.graph
         assert evaluate(pair).key() == union_objective_key(g, pair.union_mask())
+
+
+def test_objective_memory_is_linear_in_m():
+    peaks = {}
+    for n in (1000, 8000):
+        g = random_cubic(n, 1)
+        u_mask = greedy_init(g, 1).union_mask()
+        g.neighborhoods(2)
+        tracemalloc.start()
+        try:
+            union_objective_key(g, u_mask)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] <= 16 * peaks[1000], peaks
 
 
 # -- neighborhood --------------------------------------------------------------
